@@ -3,10 +3,12 @@
 //
 //   - any exported top-level identifier (function, method on an exported
 //     type, type, var or const) in the root nicbarrier package or in
-//     internal/{sim,netsim,comm,obs} lacks a doc comment, or
+//     internal/{sim,netsim,core,comm,obs} lacks a doc comment, or
 //   - any of those packages lacks a package comment, or
 //   - a relative link in README.md, ARCHITECTURE.md or ROADMAP.md points
-//     at a file that does not exist.
+//     at a file that does not exist, or
+//   - an "N-metric" or "N metrics" count in README.md or ARCHITECTURE.md
+//     differs from the number of metrics in bench/baseline.json.
 //
 // Usage:
 //
@@ -27,15 +29,22 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
+
+	"nicbarrier/internal/benchreg"
 )
 
 // docPackages are the packages whose exported surface must be fully
 // documented: the public facade and the layers ARCHITECTURE.md leans on.
-var docPackages = []string{".", "internal/sim", "internal/netsim", "internal/comm", "internal/obs"}
+var docPackages = []string{".", "internal/sim", "internal/netsim", "internal/core", "internal/comm", "internal/obs"}
 
 // linkFiles are the markdown documents whose relative links must resolve.
 var linkFiles = []string{"README.md", "ARCHITECTURE.md", "ROADMAP.md"}
+
+// countFiles are the markdown documents whose metric counts must match
+// the committed baseline.
+var countFiles = []string{"README.md", "ARCHITECTURE.md"}
 
 func main() {
 	root := flag.String("root", ".", "repository root to lint")
@@ -48,6 +57,7 @@ func main() {
 	for _, f := range linkFiles {
 		violations = append(violations, lintLinks(*root, f)...)
 	}
+	violations = append(violations, lintMetricCounts(*root)...)
 	for _, v := range violations {
 		fmt.Fprintln(os.Stderr, v)
 	}
@@ -185,6 +195,35 @@ func lintLinks(root, name string) []string {
 			resolved := filepath.Join(filepath.Dir(path), target)
 			if _, err := os.Stat(resolved); err != nil {
 				out = append(out, fmt.Sprintf("%s:%d: broken link %q", name, i+1, m[1]))
+			}
+		}
+	}
+	return out
+}
+
+// metricCount matches "497-metric" and "530 metrics"; group 1 is the
+// count.
+var metricCount = regexp.MustCompile(`\b(\d+)[- ]metrics?\b`)
+
+// lintMetricCounts reports metric counts in countFiles that differ from
+// the number of metrics in root/bench/baseline.json.
+func lintMetricCounts(root string) []string {
+	base, err := benchreg.ReadFile(filepath.Join(root, "bench", "baseline.json"))
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var out []string
+	for _, name := range countFiles {
+		data, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			out = append(out, fmt.Sprintf("%s: %v", name, err))
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range metricCount.FindAllStringSubmatch(line, -1) {
+				if m[1] != strconv.Itoa(len(base.Metrics)) {
+					out = append(out, fmt.Sprintf("%s:%d: %q, but bench/baseline.json holds %d metrics",
+						name, i+1, m[0], len(base.Metrics)))
+				}
 			}
 		}
 	}

@@ -54,7 +54,7 @@ func BenchmarkPacerNextAt(b *testing.B) {
 
 // TestDeferredPostDrivesEveryOp exercises the deferred-post path end to
 // end: with a think time on every op, each chained post goes through
-// NextAt -> ScheduleEvent(member) instead of a direct start, and the
+// NextAt -> ScheduleEvent(the rank's deferral record) instead of a direct start, and the
 // stream must still complete in order. (The allocation-free property of
 // the mechanism is gated piecewise: the pacer gate above, and
 // ScheduleEvent's pooled value-event path in internal/sim's alloc
@@ -68,7 +68,7 @@ func TestDeferredPostDrivesEveryOp(t *testing.T) {
 		think[i] = sim.Micros(1)
 	}
 	g.pace = pacer{eng: c.Eng, think: think}
-	g.setNextAt(g.pace.nextAt)
+	g.applyPace()
 	g.Launch(len(think))
 	c.DriveAll()
 	if !g.Done() {

@@ -17,6 +17,10 @@
 // error, queue until a departure frees them, or re-place the group on
 // members with capacity (see AdmissionConfig).
 //
+// backend.go is the only file that names an interconnect: one adapter
+// per backend carries its policy (slots, op kinds, recovery) and
+// plumbing (session binding, tracing, counters, heartbeats).
+//
 // On top, workload.go generates open- and closed-loop streams of
 // collective operations from N tenants (RunWorkload) and churns whole
 // tenants through arrive/run/depart/reconfigure lifecycles (RunChurn),
@@ -68,42 +72,12 @@ func (k OpKind) String() string {
 	}
 }
 
-// session is the slice of the backend sessions the communicator drives:
-// launch without running the engine, poll completion, read per-iteration
-// completion times, tear down.
+// session is the NIC side of a backend session: the teardown only the
+// backend knows. Its run bookkeeping is the core.Loop bound with it.
 type session interface {
-	Launch(iters int)
-	Done() bool
-	DoneAt() []sim.Time
-	StartAt() []sim.Time
-	Run(iters int) []sim.Time
-	Reset()
 	Abort()
 	Close()
 	ChargeInstall()
-}
-
-// Cluster multiplexes process groups over one simulated cluster. Exactly
-// one backend is set. A Cluster (like everything below the engine) is
-// single-threaded; independent Clusters on independent engines may run
-// from parallel goroutines.
-type Cluster struct {
-	Eng *sim.Engine
-	My  *myrinet.Cluster
-	El  *elan.Cluster
-
-	nextGID core.GroupID
-	groups  []*Group
-	sched   *sched
-
-	// tr, when non-nil, is the observability scope the workload engines
-	// emit per-operation spans and per-tenant metrics into.
-	tr *obs.Scope
-
-	// hbRoute routes heartbeat deliveries and NACK-stall signals to the
-	// recovery that owns each group ID; nil until the first SetRecovery
-	// (see recovery.go).
-	hbRoute map[core.GroupID]*recovery
 }
 
 // SetTracer attaches an observability scope to the communicator layer
@@ -111,12 +85,7 @@ type Cluster struct {
 // events, per-op spans from the workload engines). nil detaches.
 func (c *Cluster) SetTracer(sc *obs.Scope) {
 	c.tr = sc
-	if c.My != nil {
-		c.My.SetTracer(sc)
-	}
-	if c.El != nil {
-		c.El.SetTracer(sc)
-	}
+	c.be.setTracer(sc)
 }
 
 // SetMetronome arms periodic live snapshot publication on the attached
@@ -135,27 +104,8 @@ func (c *Cluster) SetMetronome(every sim.Duration) {
 	c.Eng.SetObserver(c.tr)
 }
 
-// OverMyrinet builds a communicator layer over a Myrinet cluster.
-func OverMyrinet(cl *myrinet.Cluster) *Cluster {
-	c := &Cluster{Eng: cl.Eng, My: cl, nextGID: myrinet.SessionGroupID}
-	c.sched = newSched(c, cl.Prof.NIC.GroupQueueSlots)
-	return c
-}
-
-// OverElan builds a communicator layer over a Quadrics cluster.
-func OverElan(cl *elan.Cluster) *Cluster {
-	c := &Cluster{Eng: cl.Eng, El: cl, nextGID: elan.SessionGroupID}
-	c.sched = newSched(c, cl.Prof.NIC.ChainSlots)
-	return c
-}
-
 // Nodes reports the underlying cluster size.
-func (c *Cluster) Nodes() int {
-	if c.My != nil {
-		return len(c.My.Nodes)
-	}
-	return len(c.El.Nodes)
-}
+func (c *Cluster) Nodes() int { return c.nodes }
 
 // Groups returns every group created so far, in creation order
 // (including closed and still-queued ones).
@@ -207,12 +157,13 @@ type Group struct {
 	// tracking placement and reconfiguration; Reconfigure reuses it.
 	gc GroupConfig
 
-	sess      session
-	launched  bool
-	closed    bool
-	closing   bool // Close requested while a run was in flight
-	setNextAt func(func(rank, next int) sim.Time)
-	setOnDone func(func(iter int, at sim.Time))
+	// sess and run are the bound backend session: its NIC side and its
+	// run core. Both are nil while an install is queued.
+	sess     session
+	run      *core.Loop
+	launched bool
+	closed   bool
+	closing  bool // Close requested while a run was in flight
 
 	// userOnDone is the workload engine's completion observer,
 	// multiplexed under the group's own onIterDone.
@@ -234,9 +185,6 @@ type Group struct {
 	// when membership swaps (each backend session numbers its own
 	// operations from 0; the group keeps the cumulative count).
 	opsDone int
-
-	// results exposes allreduce outcomes (nil otherwise).
-	results func() [][]int64
 
 	// pace shapes the group's operation stream during workloads.
 	pace pacer
@@ -267,77 +215,12 @@ func (c *Cluster) NewGroup(gc GroupConfig) (*Group, error) {
 	return g, nil
 }
 
-// bindMyrinet and bindElan construct the backend session for gc under
-// group ID gid, writing g.sess and the hook setters on success and
-// leaving g untouched on failure.
-func (g *Group) bindMyrinet(gc GroupConfig, gid core.GroupID) error {
-	cl := g.c.My
-	switch gc.Kind {
-	case OpBarrier:
-		s, err := myrinet.NewSessionWithID(cl, gid, gc.Members, gc.MyrinetScheme, gc.Algorithm, gc.Options)
-		if err != nil {
-			return err
-		}
-		g.adoptMyrinet(s)
-	case OpBroadcast:
-		degree := gc.Degree
-		if degree == 0 {
-			degree = 4
-		}
-		if gc.Root < 0 || gc.Root >= len(gc.Members) {
-			return fmt.Errorf("comm: broadcast root %d outside group of %d", gc.Root, len(gc.Members))
-		}
-		s, err := myrinet.NewBroadcastSessionWithID(cl, gid, gc.Members, gc.Root, degree)
-		if err != nil {
-			return err
-		}
-		g.adoptMyrinet(s)
-	case OpAllreduce:
-		contrib := gc.Contrib
-		if contrib == nil {
-			return fmt.Errorf("comm: allreduce group without Contrib")
-		}
-		s, err := myrinet.NewAllreduceSessionWithID(cl, gid, gc.Members, gc.Algorithm, gc.Options, gc.Reduce, contrib)
-		if err != nil {
-			return err
-		}
-		g.adoptMyrinet(s)
-	default:
-		return fmt.Errorf("comm: unknown op kind %d", int(gc.Kind))
-	}
-	return nil
-}
-
-func (g *Group) adoptMyrinet(s *myrinet.Session) {
-	g.sess = s
-	g.setNextAt = func(fn func(rank, next int) sim.Time) { s.NextAt = fn }
-	g.setOnDone = func(fn func(iter int, at sim.Time)) { s.OnIterDone = fn }
-	g.results = s.Results
-}
-
-func (g *Group) bindElan(gc GroupConfig, gid core.GroupID) error {
-	if gc.Kind != OpBarrier {
-		return fmt.Errorf("comm: %v is modeled on Myrinet only (Quadrics groups run barriers)", gc.Kind)
-	}
-	s, err := elan.NewSessionWithID(g.c.El, gid, gc.Members, gc.ElanScheme, gc.Algorithm, gc.Options)
-	if err != nil {
-		return err
-	}
-	g.sess = s
-	g.setNextAt = func(fn func(rank, next int) sim.Time) { s.NextAt = fn }
-	g.setOnDone = func(fn func(iter int, at sim.Time)) { s.OnIterDone = fn }
-	g.results = nil
-	return nil
-}
-
 // attach wires the group's completion multiplexer and pacing hooks into
 // a freshly bound session; called after every install (initial, queued,
 // or reconfiguration).
 func (g *Group) attach() {
-	g.setOnDone(g.onIterDone)
-	if g.pace.active() {
-		g.setNextAt(g.pace.nextAt)
-	}
+	g.run.OnIterDone = g.onIterDone
+	g.applyPace()
 }
 
 // onIterDone observes every globally completed operation: it advances
@@ -354,7 +237,7 @@ func (g *Group) onIterDone(iter int, at sim.Time) {
 	if g.userOnDone != nil {
 		g.userOnDone(iter, at)
 	}
-	if g.closing && g.sess.Done() {
+	if g.closing && g.run.Done() {
 		g.finalizeClose()
 	}
 }
@@ -369,8 +252,8 @@ func (g *Group) SetOnIterDone(fn func(iter int, at sim.Time)) { g.userOnDone = f
 // safe to call while the install is still queued (attach applies it when
 // the session materializes).
 func (g *Group) applyPace() {
-	if g.sess != nil && g.pace.active() {
-		g.setNextAt(g.pace.nextAt)
+	if g.run != nil && g.pace.active() {
+		g.run.NextAt = g.pace.nextAt
 	}
 }
 
@@ -411,7 +294,7 @@ func (g *Group) Run(iters int) []sim.Time {
 		panic("comm: Run on a recovery-enabled group (use RunDeadline)")
 	}
 	g.launched = true
-	return g.sess.Run(iters)
+	return g.run.Run(iters)
 }
 
 // Launch posts the group's first operation without driving the engine;
@@ -443,7 +326,7 @@ func (g *Group) Launch(iters int) {
 // recovery machinery when configured; the single funnel for every
 // launch path (direct, queued replay, recovery relaunch).
 func (g *Group) launchSess(iters int) {
-	g.sess.Launch(iters)
+	g.run.Launch(iters)
 	if g.rec != nil {
 		g.rec.onLaunch(iters)
 	}
@@ -451,15 +334,15 @@ func (g *Group) launchSess(iters int) {
 
 // Done reports whether every launched operation completed.
 func (g *Group) Done() bool {
-	return g.sess != nil && g.pendingIters == 0 && g.sess.Done()
+	return g.run != nil && g.pendingIters == 0 && g.run.Done()
 }
 
 // DoneAt returns per-iteration completion times (valid once Done).
-func (g *Group) DoneAt() []sim.Time { return g.sess.DoneAt() }
+func (g *Group) DoneAt() []sim.Time { return g.run.DoneAt() }
 
 // StartAt returns per-iteration first-post times for the current run
-// (-1 where not yet posted); see the backend sessions' StartAt.
-func (g *Group) StartAt() []sim.Time { return g.sess.StartAt() }
+// (-1 where not yet posted); see core.Loop.StartAt.
+func (g *Group) StartAt() []sim.Time { return g.run.StartAt() }
 
 // Reset readies a finished group for another Run or Launch: the NIC
 // group-queue entry stays installed and its sequence space continues,
@@ -469,7 +352,7 @@ func (g *Group) Reset() {
 	if g.sess == nil {
 		panic("comm: Reset on a queued group (its install has not been served)")
 	}
-	g.sess.Reset()
+	g.run.Reset()
 	g.launched = false
 }
 
@@ -489,7 +372,7 @@ func (g *Group) Close() error {
 		g.closed = true
 		return nil
 	}
-	if g.launched && !g.sess.Done() {
+	if g.launched && !g.run.Done() {
 		g.closing = true
 		return nil
 	}
@@ -526,7 +409,7 @@ func (g *Group) Reconfigure(newMembers []int) error {
 	if g.sess == nil {
 		return fmt.Errorf("comm: Reconfigure on a queued group (wait for its install)")
 	}
-	if g.launched && !g.sess.Done() {
+	if g.launched && !g.run.Done() {
 		return fmt.Errorf("comm: Reconfigure mid-run (drain the launched operations first)")
 	}
 	if len(newMembers) < 1 {
@@ -534,12 +417,8 @@ func (g *Group) Reconfigure(newMembers []int) error {
 	}
 	gc := g.gc
 	gc.Members = newMembers
-	if err := g.c.sched.preflight(gc); err != nil {
-		return err
-	}
-	oldSess, oldGC, oldMembers, oldID := g.sess, g.gc, g.Members, g.ID
+	oldSess, oldGC, oldMembers := g.sess, g.gc, g.Members
 	if err := g.c.sched.install(g, gc); err != nil {
-		g.sess, g.gc, g.Members, g.ID = oldSess, oldGC, oldMembers, oldID
 		return err
 	}
 	g.launched = false
@@ -551,10 +430,10 @@ func (g *Group) Reconfigure(newMembers []int) error {
 // Results returns allreduce outcomes per iteration and rank; nil for
 // other group kinds.
 func (g *Group) Results() [][]int64 {
-	if g.results == nil {
+	if g.run == nil {
 		return nil
 	}
-	return g.results()
+	return g.run.Results()
 }
 
 // DriveAll runs the engine until every *launched* group completes,

@@ -5,8 +5,6 @@ import (
 	"slices"
 
 	"nicbarrier/internal/core"
-	"nicbarrier/internal/elan"
-	"nicbarrier/internal/myrinet"
 	"nicbarrier/internal/obs"
 	"nicbarrier/internal/sim"
 )
@@ -167,11 +165,8 @@ func (g *Group) SetRecovery(cfg RecoveryConfig) error {
 	if g.launched {
 		return fmt.Errorf("comm: SetRecovery on a launched group")
 	}
-	if g.c.My != nil && g.Kind == OpBarrier && g.gc.MyrinetScheme != myrinet.SchemeCollective {
-		return fmt.Errorf("comm: recovery requires the NIC collective scheme on Myrinet (%v rides p2p retransmission)", g.gc.MyrinetScheme)
-	}
-	if g.c.El != nil && g.gc.ElanScheme != elan.SchemeChained {
-		return fmt.Errorf("comm: recovery requires the chained-RDMA scheme on Quadrics (%v is host-driven)", g.gc.ElanScheme)
+	if err := g.c.be.recoverable(g.gc); err != nil {
+		return err
 	}
 	rec := &recovery{g: g, cfg: cfg.withDefaults()}
 	if g.Kind == OpAllreduce {
@@ -183,7 +178,9 @@ func (g *Group) SetRecovery(cfg RecoveryConfig) error {
 		g.gc.Contrib = func(rank, iter int) int64 { return orig(rank, iter+rec.offset) }
 	}
 	g.rec = rec
-	g.c.ensureFailureRouting()
+	if g.c.hbRoute == nil {
+		g.c.hbRoute = make(map[core.GroupID]*recovery)
+	}
 	g.c.hbRoute[g.ID] = rec
 	return nil
 }
@@ -296,45 +293,20 @@ func (g *Group) rebuild(members []int) error {
 	return nil
 }
 
-// ensureFailureRouting lazily installs the cluster-wide heartbeat and
-// NACK-stall dispatchers on every NIC, routing by group ID to the
-// owning recovery. Installed once, on the first SetRecovery; clusters
-// that never configure recovery never touch the NIC hooks.
-func (c *Cluster) ensureFailureRouting() {
-	if c.hbRoute != nil {
-		return
-	}
-	c.hbRoute = make(map[core.GroupID]*recovery)
-	onHB := func(gid core.GroupID, fromRank int) {
-		if rec := c.hbRoute[gid]; rec != nil {
-			rec.heard(fromRank)
-		}
-	}
-	onStall := func(gid core.GroupID, round int) {
-		if rec := c.hbRoute[gid]; rec != nil {
-			rec.onNackStall()
-		}
-	}
-	if c.My != nil {
-		for _, n := range c.My.Nodes {
-			n.NIC.OnHeartbeat = onHB
-			n.NIC.OnNackStall = onStall
-		}
-		return
-	}
-	for _, n := range c.El.Nodes {
-		n.NIC.OnHeartbeat = onHB
+// heard routes a heartbeat delivery to the recovery owning gid; the
+// backend constructors install it as every NIC's heartbeat hook.
+func (c *Cluster) heard(gid core.GroupID, fromRank int) {
+	if rec := c.hbRoute[gid]; rec != nil {
+		rec.heard(fromRank)
 	}
 }
 
-// sendHeartbeat emits one probe from fromNode to dstNode on whichever
-// backend the cluster runs.
-func (c *Cluster) sendHeartbeat(gid core.GroupID, fromNode, fromRank, dstNode int) {
-	if c.My != nil {
-		c.My.Nodes[fromNode].NIC.SendHeartbeat(gid, fromRank, dstNode)
-		return
+// nackStall routes a Myrinet NACK-stall signal to the recovery owning
+// gid.
+func (c *Cluster) nackStall(gid core.GroupID, round int) {
+	if rec := c.hbRoute[gid]; rec != nil {
+		rec.onNackStall()
 	}
-	c.El.Nodes[fromNode].NIC.SendHeartbeat(gid, fromRank, dstNode)
 }
 
 // onLaunch arms the machinery for a fresh Launch (not a relaunch): the
@@ -410,7 +382,7 @@ func (rec *recovery) tickHeartbeats() {
 	fanout := min(rec.cfg.Fanout, n-1)
 	for r, node := range g.Members {
 		for k := 1; k <= fanout; k++ {
-			g.c.sendHeartbeat(g.ID, node, r, g.Members[(r+k)%n])
+			g.c.be.sendHeartbeat(g.ID, node, r, g.Members[(r+k)%n])
 		}
 	}
 	rec.hbTimer = g.c.Eng.After(rec.cfg.HeartbeatEvery, rec.tickHeartbeats)

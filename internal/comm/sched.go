@@ -3,12 +3,10 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
-	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
-	"nicbarrier/internal/elan"
-	"nicbarrier/internal/myrinet"
 )
 
 // AdmitPolicy decides what NewGroup does when a member NIC's group
@@ -123,22 +121,7 @@ func (c *Cluster) AdmissionStats() AdmissionStats {
 // SlotsFree reports how many group slots remain on one node's NIC — the
 // ground truth the backends maintain, which the controller's refcounts
 // mirror for the groups it admitted.
-func (c *Cluster) SlotsFree(node int) int {
-	if c.My != nil {
-		return c.My.Nodes[node].NIC.GroupSlotsFree()
-	}
-	return c.El.Nodes[node].NIC.ChainSlotsFree()
-}
-
-// slotted reports whether a configuration claims NIC group slots at all:
-// Myrinet host-scheme barriers and Quadrics gsync/hardware barriers keep
-// no per-group NIC state.
-func (s *sched) slotted(gc GroupConfig) bool {
-	if s.c.My != nil {
-		return gc.Kind != OpBarrier || gc.MyrinetScheme != myrinet.SchemeHost
-	}
-	return gc.ElanScheme == elan.SchemeChained
-}
+func (c *Cluster) SlotsFree(node int) int { return c.be.slotsFree(node) }
 
 // admit is NewGroup's policy dispatch: try the requested install, and on
 // slot exhaustion either fail, queue, or re-place per the policy.
@@ -152,12 +135,9 @@ func (s *sched) admit(g *Group, gc GroupConfig) error {
 	}
 	switch s.cfg.Policy {
 	case AdmitQueue:
-		// Everything except slot availability must be valid now, so the
+		// install validated everything except slot availability, so the
 		// deferred install cannot fail later for a reason the caller
 		// should have seen today.
-		if verr := s.preflight(gc); verr != nil {
-			return verr
-		}
 		gc.Members = append([]int(nil), gc.Members...)
 		g.gc = gc
 		g.Members = gc.Members
@@ -184,35 +164,25 @@ func (s *sched) admit(g *Group, gc GroupConfig) error {
 	}
 }
 
-// install binds a backend session for gc under a fresh group ID,
-// updating the slot refcounts and charging the install cost when
-// configured. On failure g keeps whatever session it had (callers that
-// need rollback snapshot around it).
+// install validates gc and binds a backend session for it under a
+// fresh group ID, updating the slot refcounts and charging the install
+// cost when configured. On failure g is left untouched.
 func (s *sched) install(g *Group, gc GroupConfig) error {
-	gc.Members = append([]int(nil), gc.Members...)
-	prevID, prevMembers, prevKind := g.ID, g.Members, g.Kind
-	gid := s.c.nextGID
-	g.ID = gid
-	g.Members = gc.Members
-	g.Kind = gc.Kind
-	var err error
-	switch {
-	case s.c.My != nil:
-		err = g.bindMyrinet(gc, gid)
-	case s.c.El != nil:
-		err = g.bindElan(gc, gid)
-	default:
-		panic("comm: cluster without backend")
-	}
-	if err != nil {
-		g.ID, g.Members, g.Kind = prevID, prevMembers, prevKind
+	if err := s.preflight(gc); err != nil {
 		return err
 	}
+	gc.Members = append([]int(nil), gc.Members...)
+	sess, run, err := s.c.be.bind(gc, s.c.nextGID)
+	if err != nil {
+		return err
+	}
+	g.ID, g.Members, g.Kind = s.c.nextGID, gc.Members, gc.Kind
+	g.sess, g.run = sess, run
 	s.c.nextGID++
 	g.gc = gc
 	g.installedAt = s.c.Eng.Now()
 	s.stats.Installs++
-	if s.slotted(gc) {
+	if s.c.be.slotted(gc) {
 		for _, id := range gc.Members {
 			s.used[id]++
 			if s.used[id] > s.stats.SlotHighWater {
@@ -231,7 +201,7 @@ func (s *sched) install(g *Group, gc GroupConfig) error {
 // drains the queue — a departure is exactly when deferred installs can
 // proceed.
 func (s *sched) release(gc GroupConfig, members []int) {
-	if s.slotted(gc) {
+	if s.c.be.slotted(gc) {
 		for _, id := range members {
 			if s.used[id] == 0 {
 				panic(fmt.Sprintf("comm: slot refcount underflow on node %d", id))
@@ -269,7 +239,7 @@ func (s *sched) drain() {
 			if errors.Is(err, core.ErrSlotsExhausted) {
 				return // strict FIFO: nothing behind the head may jump it
 			}
-			// preflight validated everything but slot capacity.
+			// install validated everything but slot capacity at admission.
 			panic(fmt.Sprintf("comm: queued install failed: %v", err))
 		}
 		s.queue = s.queue[1:]
@@ -317,21 +287,23 @@ func (s *sched) place(size int, spread bool) ([]int, error) {
 
 // preflight validates everything about gc except slot capacity, so an
 // install deferred by the queueing policy cannot fail at drain time for
-// a reason that was knowable at admission.
+// a reason that was knowable at admission, and backends bind only
+// configurations that are valid.
 func (s *sched) preflight(gc GroupConfig) error {
 	nodes := s.c.Nodes()
-	seen := make(map[int]bool, len(gc.Members))
-	for _, id := range gc.Members {
+	// Sorted, repeats sit side by side (no map: every install runs this).
+	ids := slices.Clone(gc.Members)
+	slices.Sort(ids)
+	for i, id := range ids {
 		if id < 0 || id >= nodes {
 			return fmt.Errorf("comm: member node %d outside cluster of %d", id, nodes)
 		}
-		if seen[id] {
+		if i > 0 && id == ids[i-1] {
 			return fmt.Errorf("comm: member node %d repeated", id)
 		}
-		seen[id] = true
 	}
-	if s.c.El != nil && gc.Kind != OpBarrier {
-		return fmt.Errorf("comm: %v is modeled on Myrinet only (Quadrics groups run barriers)", gc.Kind)
+	if err := s.c.be.checkKind(gc.Kind); err != nil {
+		return err
 	}
 	switch gc.Kind {
 	case OpBarrier:
@@ -343,8 +315,7 @@ func (s *sched) preflight(gc GroupConfig) error {
 		if gc.Contrib == nil {
 			return fmt.Errorf("comm: allreduce group without Contrib")
 		}
-		sched := barrier.New(gc.Algorithm, len(gc.Members), 0, gc.Options)
-		if _, err := core.NewReduceState(gc.Reduce, sched); err != nil {
+		if err := core.CheckReduce(gc.Reduce, gc.Algorithm, len(gc.Members)); err != nil {
 			return err
 		}
 	default:

@@ -7,8 +7,6 @@ import (
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
-	"nicbarrier/internal/myrinet"
-	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/obs"
 	"nicbarrier/internal/sim"
 )
@@ -251,10 +249,11 @@ type tenantPlan struct {
 // a compatibility contract: it keeps single-partition runs bit-identical
 // to the gated baseline, and it makes multi-partition runs agree with
 // them on memberships, kinds and operation counts, because every
-// partitioning executes the same plans. barrierOnly forces OpBarrier
-// after the mix draw (Quadrics groups run barriers only), spending the
-// same draws so the seed stream stays aligned across backends.
-func planTenants(nodes int, spec WorkloadSpec, barrierOnly bool) ([]tenantPlan, error) {
+// partitioning executes the same plans. A kind the backend does not
+// model becomes OpBarrier after the mix draw (Quadrics groups run
+// barriers only), spending the same draws so the seed stream stays
+// aligned across backends.
+func planTenants(nodes int, spec WorkloadSpec, be backend) ([]tenantPlan, error) {
 	rng := sim.NewRNG(spec.Seed ^ 0x7e4a47)
 
 	// Disjoint placement slices one shuffled node list; overlapping
@@ -292,8 +291,8 @@ func planTenants(nodes int, spec WorkloadSpec, barrierOnly bool) ([]tenantPlan, 
 				kind = OpAllreduce
 			}
 		}
-		if barrierOnly {
-			kind = OpBarrier // Quadrics groups run barriers only
+		if be.checkKind(kind) != nil {
+			kind = OpBarrier
 		}
 		p := tenantPlan{idx: t, members: members, kind: kind}
 
@@ -328,12 +327,11 @@ func planTenants(nodes int, spec WorkloadSpec, barrierOnly bool) ([]tenantPlan, 
 // (open loop: the arrival instants; closed loop: zeros, derived after
 // the run from completions).
 func installTenant(c *Cluster, spec WorkloadSpec, p tenantPlan) (*Group, []sim.Time, error) {
-	gc := GroupConfig{
-		Members:       p.members,
-		Kind:          p.kind,
-		Algorithm:     spec.Algorithm,
-		MyrinetScheme: myrinet.SchemeCollective,
-	}
+	gc := nicResident(GroupConfig{
+		Members:   p.members,
+		Kind:      p.kind,
+		Algorithm: spec.Algorithm,
+	})
 	if p.kind == OpAllreduce {
 		// Max is exact for every group size and algorithm, so mixed
 		// workloads never trip the sum/dissemination exactness rule.
@@ -482,12 +480,7 @@ func collectWorkload(c *Cluster, spec WorkloadSpec, plans []tenantPlan,
 	if sumTputSq > 0 {
 		res.Fairness = sumTput * sumTput / (float64(len(groups)) * sumTputSq)
 	}
-	var net netsim.Counters
-	if c.My != nil {
-		net = c.My.Net.Counters()
-	} else {
-		net = c.El.Net.Counters()
-	}
+	net := c.be.network().Counters()
 	res.Sent, res.Dropped = net.Sent, net.Dropped
 	if c.tr != nil {
 		res.Decomp = c.tr.Decomp()
@@ -506,7 +499,7 @@ func RunWorkload(c *Cluster, spec WorkloadSpec) (WorkloadResult, error) {
 	if err := spec.validate(nodes); err != nil {
 		return WorkloadResult{}, err
 	}
-	plans, err := planTenants(nodes, spec, c.El != nil)
+	plans, err := planTenants(nodes, spec, c.be)
 	if err != nil {
 		return WorkloadResult{}, err
 	}
@@ -780,13 +773,11 @@ func runChurnPlans(c *Cluster, spec ChurnSpec, tenants []*churnTenant) (churnOut
 			if failure != nil {
 				return
 			}
-			g, err := c.NewGroup(GroupConfig{
-				Members:       tn.members,
-				Kind:          OpBarrier,
-				Algorithm:     spec.Algorithm,
-				MyrinetScheme: myrinet.SchemeCollective,
-				ElanScheme:    0, // SchemeChained
-			})
+			g, err := c.NewGroup(nicResident(GroupConfig{
+				Members:   tn.members,
+				Kind:      OpBarrier,
+				Algorithm: spec.Algorithm,
+			}))
 			if err != nil {
 				failure = fmt.Errorf("comm: churn tenant %d: %w", tn.idx, err)
 				return
@@ -868,12 +859,7 @@ func runChurnPlans(c *Cluster, spec ChurnSpec, tenants []*churnTenant) (churnOut
 	out.lastDepart = lastDepart
 	out.st = c.AdmissionStats()
 	out.pre, out.post = preLat, postLat
-	var net netsim.Counters
-	if c.My != nil {
-		net = c.My.Net.Counters()
-	} else {
-		net = c.El.Net.Counters()
-	}
+	net := c.be.network().Counters()
 	out.sent, out.dropped = net.Sent, net.Dropped
 	return out, nil
 }

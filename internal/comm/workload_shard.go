@@ -63,7 +63,7 @@ func RunWorkloadSharded(cs []*Cluster, spec WorkloadSpec) (WorkloadResult, error
 	if err := spec.validate(nodes); err != nil {
 		return WorkloadResult{}, err
 	}
-	plans, err := planTenants(nodes, spec, cs[0].El != nil)
+	plans, err := planTenants(nodes, spec, cs[0].be)
 	if err != nil {
 		return WorkloadResult{}, err
 	}

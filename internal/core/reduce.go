@@ -101,13 +101,21 @@ type ReduceState struct {
 	sent map[int]map[int]int64
 }
 
+// CheckReduce returns an error when op cannot be exact over an n-rank
+// schedule of algorithm alg.
+func CheckReduce(op ReduceOp, alg barrier.Algorithm, n int) error {
+	if op == ReduceSum && alg == barrier.Dissemination && !barrier.IsPowerOfTwo(n) {
+		return fmt.Errorf("core: sum-allreduce over dissemination needs a power-of-two group, got %d", n)
+	}
+	return nil
+}
+
 // NewReduceState builds an allreduce state machine over a schedule. It
 // returns an error when the (operator, schedule) combination cannot be
 // exact.
 func NewReduceState(op ReduceOp, sched barrier.Schedule) (*ReduceState, error) {
-	if op == ReduceSum && sched.Algorithm == barrier.Dissemination && !barrier.IsPowerOfTwo(sched.N) {
-		return nil, fmt.Errorf(
-			"core: sum-allreduce over dissemination needs a power-of-two group, got %d", sched.N)
+	if err := CheckReduce(op, sched.Algorithm, sched.N); err != nil {
+		return nil, err
 	}
 	r := &ReduceState{
 		op:       op,

@@ -133,20 +133,37 @@ func TestHWBarrierSkewRetries(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, hwprofile.Elan3Cluster(), 4)
 	s := NewSession(cl, identity(4), SchemeHW, barrier.Dissemination, barrier.Options{})
-	s.iters = 1
-	s.doneAt = make([]sim.Time, 1)
-	s.pending = []int{len(s.members)}
 	// Stagger the posts far beyond HWSyncLimit.
-	for i, m := range s.members {
-		m := m
-		eng.After(sim.Duration(i)*3*HWSyncLimit, func() { m.start(0) })
+	skew := make([]sim.Duration, 4)
+	for i := range skew {
+		skew[i] = sim.Duration(i) * 3 * HWSyncLimit
 	}
-	if !eng.RunCondition(func() bool { return s.pending[0] == 0 }) {
-		t.Fatal("skewed HW barrier never completed")
-	}
+	s.RunSkewed(skew)
 	if cl.hw.Retries() == 0 {
 		t.Fatal("no retries recorded despite heavy skew")
 	}
+}
+
+// The hardware barrier is a cluster singleton: a second HW session is
+// refused while one is open (it would steal every member's event hook),
+// and Close hands the transaction to the next session.
+func TestHWBarrierSingleton(t *testing.T) {
+	eng := sim.NewEngine()
+	cl := NewCluster(eng, hwprofile.Elan3Cluster(), 4)
+	a, err := NewSessionWithID(cl, 1, identity(4), SchemeHW, barrier.Dissemination, barrier.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSessionWithID(cl, 2, identity(4), SchemeHW, barrier.Dissemination, barrier.Options{}); err == nil {
+		t.Fatal("second HW session accepted while the first is open")
+	}
+	a.Run(3)
+	a.Close()
+	b, err := NewSessionWithID(cl, 2, []int{1, 2, 3}, SchemeHW, barrier.Dissemination, barrier.Options{})
+	if err != nil {
+		t.Fatalf("HW session after Close: %v", err)
+	}
+	b.Run(3)
 }
 
 // Consecutive barriers in a tight loop must not trigger retries.

@@ -32,12 +32,20 @@ func newHWBarrier(cl *Cluster) *hwBarrier {
 	return &hwBarrier{cl: cl, posted: make(map[int]bool)}
 }
 
-// configure sets the participating nodes for subsequent rounds.
+// configure sets the participating nodes for subsequent rounds; the
+// session constructor refuses a second one while members is set.
 func (hw *hwBarrier) configure(members []int) {
 	if len(hw.posted) != 0 {
 		panic("elan: hw barrier reconfigured mid-round")
 	}
 	hw.members = append([]int(nil), members...)
+}
+
+// release frees the transaction for a future session. Posts of an
+// aborted round are discarded with it.
+func (hw *hwBarrier) release() {
+	hw.members = nil
+	clear(hw.posted)
 }
 
 // PostHWBarrier enters the hardware barrier from one host. Completion is

@@ -2,6 +2,7 @@ package elan
 
 import (
 	"fmt"
+	"slices"
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
@@ -41,40 +42,17 @@ func (s Scheme) String() string {
 const SessionGroupID = 1
 
 // Session runs consecutive barriers over a subset of an Elan cluster.
-// Chained and gsync sessions carry their own group ID and can coexist
-// on one cluster; the hardware barrier is a cluster-singleton network
-// transaction and supports one session at a time.
+// The embedded core.Loop owns the run bookkeeping; the session owns the
+// Quadrics side: chain arming, posting a barrier on a node, and card
+// teardown. Chained and gsync sessions carry their own group ID and can
+// coexist on one cluster; the hardware barrier is a cluster-singleton
+// network transaction and supports one open session at a time.
 type Session struct {
+	core.Loop
 	cl      *Cluster
 	gid     core.GroupID
-	nodeIDs []int
 	scheme  Scheme
-
-	members []*member
-	iters   int
-	doneAt  []sim.Time
-	// startAt holds, per iteration of this run, the virtual time the
-	// first member posted it (-1 until posted); startAt..doneAt is the
-	// in-flight phase, what precedes startAt is queue wait.
-	startAt []sim.Time
-	pending []int
-	// base is the absolute operation sequence this run starts at (see
-	// the Myrinet session's Reset).
-	base int
-	// closed marks a torn-down session.
-	closed bool
-	// aborted marks a run cancelled mid-flight (deadline expiry); the
-	// only legal next step is Close (see the Myrinet session's Abort).
-	aborted bool
-	// gen counts run generations; see the Myrinet session's gen for why
-	// complete guards its chained posts with it.
-	gen int
-
-	// NextAt and OnIterDone mirror the Myrinet session's workload hooks:
-	// NextAt gates when a member may post iteration `next`; OnIterDone
-	// observes each iteration's global completion.
-	NextAt     func(rank, next int) sim.Time
-	OnIterDone func(iter int, at sim.Time)
+	members []member // index is the rank
 }
 
 type member struct {
@@ -86,15 +64,7 @@ type member struct {
 	hostOp *core.OpState
 	// hwSeq tracks hardware-barrier rounds for this member.
 	hwSeq int
-	// deferSeq is the iteration a NextAt-deferred start posts on Fire.
-	deferSeq int
-	// deferTimer holds the pending NextAt deferral so Abort can cancel
-	// it (a fired or zero timer cancels as a no-op).
-	deferTimer sim.Timer
 }
-
-// Fire implements sim.Event (allocation-free deferred starts).
-func (m *member) Fire() { m.start(m.deferSeq) }
 
 // NewSession prepares a barrier session on group SessionGroupID over
 // nodeIDs (rank order; the harness passes a random permutation).
@@ -119,6 +89,9 @@ func NewSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Schem
 	}
 	// Pre-validate the whole membership before touching any card or host
 	// state, so failed constructions leave the cluster untouched.
+	if scheme == SchemeHW && cl.hw.members != nil {
+		return nil, fmt.Errorf("elan: hardware barrier already held by an open session (one per cluster)")
+	}
 	for _, id := range nodeIDs {
 		if id < 0 || id >= len(cl.Nodes) {
 			panic(fmt.Sprintf("elan: node %d outside cluster of %d", id, len(cl.Nodes)))
@@ -140,19 +113,15 @@ func NewSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Schem
 			}
 		}
 	}
-	s := &Session{cl: cl, gid: gid, nodeIDs: append([]int(nil), nodeIDs...), scheme: scheme}
+	s := &Session{cl: cl, gid: gid, scheme: scheme, members: make([]member, len(nodeIDs))}
+	s.Init(cl.Eng, "elan "+scheme.String(), len(nodeIDs), false, false, s.start)
 	if scheme == SchemeHW {
-		cl.hw.configure(s.nodeIDs)
+		cl.hw.configure(nodeIDs)
 	}
-	base := core.NewGroup(gid, s.nodeIDs, 0)
-	for rank := range s.nodeIDs {
-		id := s.nodeIDs[rank]
-		m := &member{
-			s:     s,
-			rank:  rank,
-			node:  cl.Nodes[id],
-			group: base.WithRank(rank),
-		}
+	base := core.NewGroup(gid, append([]int(nil), nodeIDs...), 0)
+	for rank, id := range nodeIDs {
+		m := &s.members[rank]
+		*m = member{s: s, rank: rank, node: cl.Nodes[id], group: base.WithRank(rank)}
 		switch scheme {
 		case SchemeChained:
 			sched := barrier.New(alg, len(nodeIDs), rank, opts)
@@ -172,76 +141,23 @@ func NewSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Schem
 		default:
 			panic(fmt.Sprintf("elan: unknown scheme %d", int(scheme)))
 		}
-		s.members = append(s.members, m)
 	}
 	return s, nil
-}
-
-// Launch prepares iters consecutive barriers and posts iteration 0 on
-// every member without driving the engine (see the Myrinet session for
-// the multiplexed-run pattern).
-func (s *Session) Launch(iters int) {
-	if iters < 1 {
-		panic(fmt.Sprintf("elan: iterations %d", iters))
-	}
-	if s.closed {
-		panic("elan: Launch on a closed session")
-	}
-	if s.aborted {
-		panic("elan: Launch on an aborted session (install a new one)")
-	}
-	if s.iters != 0 {
-		panic("elan: session launched twice (Reset between runs)")
-	}
-	s.gen++
-	s.iters = iters
-	s.doneAt = make([]sim.Time, iters)
-	s.startAt = make([]sim.Time, iters)
-	for i := range s.startAt {
-		s.startAt[i] = -1
-	}
-	s.pending = make([]int, iters)
-	for i := range s.pending {
-		s.pending[i] = len(s.members)
-	}
-	for _, m := range s.members {
-		s.post(m, s.base)
-	}
-}
-
-// Reset readies a finished session for another Launch; the chains stay
-// armed and their sequence space continues.
-func (s *Session) Reset() {
-	if s.aborted {
-		panic("elan: Reset on an aborted session (install a new one)")
-	}
-	if s.iters > 0 && !s.Done() {
-		panic("elan: Reset mid-run")
-	}
-	s.gen++
-	s.base += s.iters
-	s.iters = 0
-	s.doneAt, s.startAt, s.pending = nil, nil, nil
 }
 
 // Close tears the session down. Chained sessions disarm every member's
 // descriptor list (freeing the Elan SRAM slot, the disarm cost charged
 // on the card) and release the host binding; gsync sessions only release
 // the binding (the tree lives in host memory); hardware-barrier sessions
-// detach the singleton event hook, making the network transaction
-// available to a future session. The session must have drained — Close
-// mid-run panics. A closed session cannot be relaunched.
+// detach the singleton event hook and release the network transaction
+// for a future session. The session must have drained — Close mid-run
+// panics. A closed session cannot be relaunched.
 func (s *Session) Close() {
-	if s.closed {
-		panic("elan: session closed twice")
-	}
-	if s.iters > 0 && !s.Done() {
-		panic("elan: Close mid-run (drain the launched iterations first)")
-	}
+	s.Loop.Close()
 	for _, m := range s.members {
 		switch s.scheme {
 		case SchemeChained:
-			m.node.NIC.DisarmChain(core.GroupID(s.gid))
+			m.node.NIC.DisarmChain(s.gid)
 			m.node.Host.Unbind(int(s.gid))
 		case SchemeGsync:
 			m.node.Host.Unbind(int(s.gid))
@@ -249,11 +165,10 @@ func (s *Session) Close() {
 			m.node.Host.OnEvent = nil
 		}
 	}
-	s.closed = true
+	if s.scheme == SchemeHW {
+		s.cl.hw.release()
+	}
 }
-
-// Closed reports whether the session has been torn down.
-func (s *Session) Closed() bool { return s.closed }
 
 // Abort cancels the current run mid-flight: pending NextAt deferrals
 // are cancelled, gsync host-side schedule state is quiesced, and each
@@ -261,14 +176,10 @@ func (s *Session) Closed() bool { return s.closed }
 // consistent for the Close that must follow. Idle, finished, and
 // closed sessions abort as a no-op.
 func (s *Session) Abort() {
-	if s.closed || s.iters == 0 || s.Done() {
+	if !s.Loop.Abort() {
 		return
 	}
-	s.aborted = true
-	s.gen++ // void any in-flight OnIterDone-chained posts
 	for _, m := range s.members {
-		m.deferTimer.Cancel()
-		m.deferTimer = sim.Timer{}
 		if m.hostOp != nil {
 			m.hostOp.Abort()
 		}
@@ -276,12 +187,7 @@ func (s *Session) Abort() {
 			m.node.NIC.AbortChain(s.gid)
 		}
 	}
-	s.iters = 0
-	s.doneAt, s.startAt, s.pending = nil, nil, nil
 }
-
-// Aborted reports whether the session was cancelled mid-run.
-func (s *Session) Aborted() bool { return s.aborted }
 
 // ChargeInstall charges every member card's chain-install cost on the
 // simulated timeline (chained sessions only; the other schemes keep no
@@ -291,61 +197,9 @@ func (s *Session) ChargeInstall() {
 	if s.scheme != SchemeChained {
 		return
 	}
-	for _, m := range s.members {
-		m.node.NIC.ChargeChainInstall(core.GroupID(s.gid))
+	for i := range s.members {
+		s.members[i].node.NIC.ChargeChainInstall(s.gid)
 	}
-}
-
-// post starts absolute operation seq on member m, honoring the NextAt
-// gate (which sees run-local iteration numbers).
-func (s *Session) post(m *member, seq int) {
-	if s.NextAt != nil {
-		if at := s.NextAt(m.rank, seq-s.base); at > s.cl.Eng.Now() {
-			m.deferSeq = seq
-			m.deferTimer = s.cl.Eng.ScheduleEvent(at, m)
-			return
-		}
-	}
-	m.start(seq)
-}
-
-// Done reports whether every launched iteration completed everywhere.
-func (s *Session) Done() bool {
-	return s.iters > 0 && s.pending[s.iters-1] == 0
-}
-
-// DoneAt returns the completion time per iteration (valid once Done).
-func (s *Session) DoneAt() []sim.Time { return s.doneAt }
-
-// StartAt returns, per iteration of the current run, the virtual time
-// the first member posted it (-1 if not yet posted). Together with
-// DoneAt it decomposes an operation's latency into queue wait (before
-// start) and in-flight time (start to done).
-func (s *Session) StartAt() []sim.Time { return s.startAt }
-
-// Size reports the number of participating ranks.
-func (s *Session) Size() int { return len(s.members) }
-
-// Run executes iters consecutive barriers, returning the completion time
-// of each iteration.
-func (s *Session) Run(iters int) []sim.Time {
-	s.Launch(iters)
-	if !s.cl.Eng.RunCondition(s.Done) {
-		panic(fmt.Sprintf("elan: %s barrier deadlocked (%d nodes, pending %v)",
-			s.scheme, len(s.members), s.pending))
-	}
-	return s.doneAt
-}
-
-// MeanLatency mirrors the paper's methodology: warmup iterations followed
-// by averaged measured iterations.
-func (s *Session) MeanLatency(warmup, iters int) sim.Duration {
-	doneAt := s.Run(warmup + iters)
-	var start sim.Time
-	if warmup > 0 {
-		start = doneAt[warmup-1]
-	}
-	return doneAt[warmup+iters-1].Sub(start) / sim.Duration(iters)
 }
 
 // RunSkewed runs a single barrier whose members enter with the given
@@ -357,77 +211,30 @@ func (s *Session) MeanLatency(warmup, iters int) sim.Duration {
 // up here as test-and-set retries once the skew exceeds the sync window,
 // while the NIC-based barrier simply buffers early notifications.
 func (s *Session) RunSkewed(skew []sim.Duration) sim.Duration {
-	if len(skew) != len(s.members) {
-		panic(fmt.Sprintf("elan: %d offsets for %d members", len(skew), len(s.members)))
-	}
-	s.iters = 1
-	s.doneAt = make([]sim.Time, 1)
-	s.startAt = []sim.Time{-1}
-	s.pending = []int{len(s.members)}
-	var last sim.Time
-	for i, m := range s.members {
-		m := m
-		if at := sim.Time(0).Add(skew[i]); at > last {
-			last = at
-		}
-		s.cl.Eng.After(skew[i], func() { m.start(0) })
-	}
-	if !s.cl.Eng.RunCondition(func() bool { return s.pending[0] == 0 }) {
+	s.LaunchSkewed(skew)
+	if !s.cl.Eng.RunCondition(s.Done) {
 		panic(fmt.Sprintf("elan: skewed %s barrier deadlocked", s.scheme))
 	}
-	return s.doneAt[0].Sub(last)
+	return s.DoneAt()[0].Sub(sim.Time(0).Add(slices.Max(skew)))
 }
 
-// complete records one member's completion of absolute operation seq.
-func (s *Session) complete(rank, seq int) {
-	if s.aborted {
-		return // late completion racing the abort; the run is void
-	}
-	rel := seq - s.base
-	if rel >= s.iters {
-		panic(fmt.Sprintf("elan: completion for iteration %d beyond %d", rel, s.iters))
-	}
-	s.pending[rel]--
-	if s.pending[rel] < 0 {
-		panic(fmt.Sprintf("elan: double completion of iteration %d by rank %d", rel, rank))
-	}
-	gen := s.gen
-	if s.pending[rel] == 0 {
-		s.doneAt[rel] = s.cl.Eng.Now()
-		if s.OnIterDone != nil {
-			s.OnIterDone(rel, s.doneAt[rel])
-		}
-		if s.gen != gen {
-			return // the callback reset the session; this run's posts are void
-		}
-	}
-	if next := rel + 1; next < s.iters {
-		s.post(s.members[rank], seq+1)
-	}
-}
-
-// markStart stamps the first member's post time for operation seq.
-func (s *Session) markStart(seq int) {
-	if rel := seq - s.base; rel >= 0 && rel < len(s.startAt) && s.startAt[rel] < 0 {
-		s.startAt[rel] = s.cl.Eng.Now()
-	}
-}
-
-func (m *member) start(seq int) {
-	m.s.markStart(seq)
-	switch m.s.scheme {
+// start posts absolute barrier #seq on rank's node; the core.Loop calls
+// it for every post.
+func (s *Session) start(rank, seq int) {
+	m := &s.members[rank]
+	switch s.scheme {
 	case SchemeChained:
-		m.node.Host.TriggerChain(int(m.s.gid))
+		m.node.Host.TriggerChain(int(s.gid))
 	case SchemeHW:
 		m.node.Host.PostHWBarrier()
 	case SchemeGsync:
 		sends, done, err := m.hostOp.Start(seq)
 		if err != nil {
-			panic(fmt.Sprintf("elan: rank %d: %v", m.rank, err))
+			panic(fmt.Sprintf("elan: rank %d: %v", rank, err))
 		}
 		m.gsyncSend(seq, sends)
 		if done {
-			m.s.complete(m.rank, seq)
+			s.Complete(rank, seq)
 		}
 	}
 }
@@ -441,11 +248,11 @@ func (m *member) gsyncSend(seq int, ranks []int) {
 func (m *member) onEvent(ev Event) {
 	switch ev.Kind {
 	case EvBarrierDone:
-		m.s.complete(m.rank, ev.Seq)
+		m.s.Complete(m.rank, ev.Seq)
 	case EvHWBarrier:
 		seq := m.hwSeq
 		m.hwSeq++
-		m.s.complete(m.rank, seq)
+		m.s.Complete(m.rank, seq)
 	case EvRemote:
 		fromRank, ok := m.group.RankOf(ev.FromNode)
 		if !ok {
@@ -460,7 +267,7 @@ func (m *member) onEvent(ev Event) {
 			}
 			m.gsyncSend(m.hostOp.Seq(), sends)
 			if done {
-				m.s.complete(m.rank, m.hostOp.Seq())
+				m.s.Complete(m.rank, m.hostOp.Seq())
 			}
 		})
 	}

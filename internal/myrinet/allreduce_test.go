@@ -27,7 +27,7 @@ func runAllreduce(t *testing.T, n int, alg barrier.Algorithm, op core.ReduceOp,
 	t.Helper()
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), n, loss)
-	s, err := NewAllreduceSession(cl, identity(n), alg, barrier.Options{}, op, contribFn)
+	s, err := NewAllreduceSessionWithID(cl, SessionGroupID, identity(n), alg, barrier.Options{}, op, contribFn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAllreduceOnNIC(t *testing.T) {
 func TestAllreduceInvalidCombination(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 6, nil)
-	_, err := NewAllreduceSession(cl, identity(6), barrier.Dissemination,
+	_, err := NewAllreduceSessionWithID(cl, SessionGroupID, identity(6), barrier.Dissemination,
 		barrier.Options{}, core.ReduceSum, contribFn)
 	if err == nil {
 		t.Fatal("sum over DS n=6 accepted")
@@ -117,7 +117,7 @@ func TestAllreduceCostsLikeBarrier(t *testing.T) {
 
 	eng2 := sim.NewEngine()
 	cl2 := NewCluster(eng2, hwprofile.LANaiXPCluster(), 8, nil)
-	rs, err := NewAllreduceSession(cl2, identity(8), barrier.PairwiseExchange,
+	rs, err := NewAllreduceSessionWithID(cl2, SessionGroupID, identity(8), barrier.PairwiseExchange,
 		barrier.Options{}, core.ReduceSum, contribFn)
 	if err != nil {
 		t.Fatal(err)

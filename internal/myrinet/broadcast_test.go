@@ -8,10 +8,19 @@ import (
 	"nicbarrier/internal/sim"
 )
 
+func newBroadcast(t *testing.T, cl *Cluster, ids []int, root, degree int) *Session {
+	t.Helper()
+	s, err := NewBroadcastSessionWithID(cl, SessionGroupID, ids, root, degree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestBroadcastSessionCompletes(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 8, 16} {
 		eng, cl := xpCluster(n, nil)
-		s := NewBroadcastSession(cl, identity(n), 0, 4)
+		s := newBroadcast(t, cl, identity(n), 0, 4)
 		doneAt := s.Run(4)
 		for i := 1; i < len(doneAt); i++ {
 			if doneAt[i] < doneAt[i-1] {
@@ -24,7 +33,7 @@ func TestBroadcastSessionCompletes(t *testing.T) {
 
 func TestBroadcastMessageCount(t *testing.T) {
 	eng, cl := xpCluster(8, nil)
-	s := NewBroadcastSession(cl, identity(8), 0, 2)
+	s := newBroadcast(t, cl, identity(8), 0, 2)
 	const iters = 3
 	s.Run(iters)
 	eng.Run()
@@ -42,7 +51,7 @@ func TestBroadcastLatencyScalesWithDepth(t *testing.T) {
 	measure := func(n, degree int) sim.Duration {
 		eng := sim.NewEngine()
 		cl := NewCluster(eng, hwprofile.LANaiXPCluster(), n, nil)
-		s := NewBroadcastSession(cl, identity(n), 0, degree)
+		s := newBroadcast(t, cl, identity(n), 0, degree)
 		return s.MeanLatency(3, 20)
 	}
 	// Classic fan-out trade-off: a binary tree pays depth (more
@@ -66,7 +75,7 @@ func TestBroadcastLatencyScalesWithDepth(t *testing.T) {
 func TestBroadcastNonZeroRootAndPermutation(t *testing.T) {
 	eng, cl := xpCluster(8, nil)
 	perm := []int{3, 1, 4, 0, 6, 2, 7, 5}
-	s := NewBroadcastSession(cl, perm, 5, 4)
+	s := newBroadcast(t, cl, perm, 5, 4)
 	s.Run(3)
 	_ = eng
 }
@@ -77,7 +86,7 @@ func TestBroadcastLossRecovery(t *testing.T) {
 	eng := sim.NewEngine()
 	loss := &netsim.ScriptedLoss{Kind: "barrier-coll", DropNth: map[int]bool{1: true}}
 	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 8, loss)
-	s := NewBroadcastSession(cl, identity(8), 0, 2)
+	s := newBroadcast(t, cl, identity(8), 0, 2)
 	s.Run(2)
 	if cl.Stats().NacksSent == 0 || cl.Stats().CollResent == 0 {
 		t.Fatalf("broadcast loss not recovered via NACK: %+v", cl.Stats())

@@ -5,7 +5,6 @@ import (
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
-	"nicbarrier/internal/sim"
 )
 
 // Scheme selects how barriers are executed on a Myrinet cluster.
@@ -39,64 +38,22 @@ func (s Scheme) String() string {
 }
 
 // Session runs consecutive collective operations over a subset of a
-// cluster's nodes — the measurement loop of the paper's Section 8
-// ("processes execute consecutive barrier operations"). Each session
-// owns one group ID; several sessions with distinct IDs can coexist on
-// one cluster (the communicator layer builds multi-tenant workloads
-// that way), with per-node event routing keyed on the group ID.
+// cluster's nodes. The embedded core.Loop owns the run bookkeeping
+// (Launch, Run, Reset, the NextAt and OnIterDone hooks); the session
+// owns the Myrinet side: group install, posting an operation on a node,
+// and NIC teardown. Each session owns one group ID; several sessions
+// with distinct IDs can coexist on one cluster (the communicator layer
+// builds multi-tenant workloads that way), with per-node event routing
+// keyed on the group ID.
 type Session struct {
+	core.Loop
 	cl      *Cluster
 	gid     core.GroupID
-	nodeIDs []int // participating nodes; index is the rank
 	scheme  Scheme
-	// gated sessions start iteration k+1 only once every member has
-	// completed k (used for broadcast, which does not self-synchronize);
-	// barrier sessions chain per member, as real benchmark loops do.
-	gated bool
-
-	members []*member
-	iters   int
-	doneAt  []sim.Time // completion time per iteration of this run
-	// startAt holds, per iteration of this run, the virtual time the
-	// first member posted it (-1 until posted). The span startAt..doneAt
-	// is the operation's in-flight phase; what precedes startAt is queue
-	// wait, which workload engines attribute separately.
-	startAt []sim.Time
-	pending []int // per iteration of this run, members not yet complete
-	// base is the absolute operation sequence this run starts at: NIC
-	// group queues number operations monotonically across runs, so after
-	// Reset a relaunched session maps absolute sequence s to run-local
-	// iteration s-base.
-	base int
-	// closed marks a torn-down session; launching it again is a
-	// programming error (install a new session instead).
-	closed bool
-	// aborted marks a session whose current run was cancelled mid-flight
-	// (deadline expiry). The NIC-side ops are frozen and the run
-	// bookkeeping discarded; the only legal next step is Close — recovery
-	// installs a fresh session rather than restarting this one, since
-	// surviving members' sequence windows may disagree about the aborted
-	// operation.
-	aborted bool
-	// gen counts run generations (bumped by Launch and Reset). complete
-	// snapshots it around the OnIterDone callback: a callback that
-	// Resets and relaunches the session — the churn engine's
-	// depart/reconfigure hooks do — invalidates the old run's chained
-	// next-op posts, which must not leak doorbells into the new run.
-	gen int
-
-	// results[iter][rank] collects allreduce outcomes; nil otherwise.
-	results [][]int64
-
-	// NextAt, when set before Launch, gates when a member may post
-	// iteration `next`: the returned virtual time is the earliest post
-	// instant (times at or before "now" post immediately, preserving the
-	// default back-to-back loop). Workload engines use it to shape
-	// open-loop arrival processes and closed-loop think times.
-	NextAt func(rank, next int) sim.Time
-	// OnIterDone, when set, observes each iteration's global completion
-	// (all members done) at the virtual time it happens.
-	OnIterDone func(iter int, at sim.Time)
+	members []member // index is the rank
+	// contrib supplies each rank's allreduce contribution per run-local
+	// iteration; nil for barriers and broadcasts.
+	contrib func(rank, iter int) int64
 }
 
 type member struct {
@@ -104,24 +61,9 @@ type member struct {
 	rank  int
 	node  *Node
 	group *core.Group
-	sched barrier.Schedule
 	// Host-side schedule state, used only by SchemeHost.
 	hostOp *core.OpState
-	// contrib supplies the allreduce contribution per iteration; nil for
-	// barriers and broadcasts.
-	contrib func(seq int) int64
-	// deferSeq is the iteration a NextAt-deferred start will post when
-	// the member fires as a sim.Event (at most one outstanding per
-	// member: iterations chain).
-	deferSeq int
-	// deferTimer holds the pending NextAt deferral so Abort can cancel
-	// it (a fired or zero timer cancels as a no-op).
-	deferTimer sim.Timer
 }
-
-// Fire implements sim.Event: post the deferred iteration. Scheduling the
-// member itself keeps NextAt-gated loops allocation-free per operation.
-func (m *member) Fire() { m.start(m.deferSeq) }
 
 // hostBarrierTag tags host-scheme barrier messages on the wire.
 type hostBarrierTag struct {
@@ -157,214 +99,93 @@ func NewSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Schem
 	for rank := range nodeIDs {
 		scheds[rank] = barrier.New(alg, len(nodeIDs), rank, opts)
 	}
-	return newSession(cl, gid, nodeIDs, scheme, scheds, false)
+	return newSession(cl, gid, nodeIDs, scheme, scheds, false, 0, nil)
 }
 
-// NewBroadcastSession prepares a NIC-based broadcast session (the
-// extension of the paper's future-work section) on group SessionGroupID:
-// the root's notification fans down a d-ary tree entirely on the NICs
-// via the collective protocol. Iterations are globally gated, since a
+// NewBroadcastSessionWithID prepares a NIC-based broadcast session (the
+// extension of the paper's future-work section) on group gid: the
+// root's notification fans down a d-ary tree entirely on the NICs via
+// the collective protocol. Iterations are globally gated, since a
 // broadcast does not synchronize its participants.
-func NewBroadcastSession(cl *Cluster, nodeIDs []int, root, degree int) *Session {
-	s, err := NewBroadcastSessionWithID(cl, SessionGroupID, nodeIDs, root, degree)
-	if err != nil {
-		panic(fmt.Sprintf("myrinet: %v", err))
-	}
-	return s
-}
-
-// NewBroadcastSessionWithID is NewBroadcastSession on an explicit group
-// ID, with clean errors instead of panics.
 func NewBroadcastSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, root, degree int) (*Session, error) {
 	scheds := make([]barrier.Schedule, len(nodeIDs))
 	for rank := range nodeIDs {
 		scheds[rank] = barrier.BroadcastTree(len(nodeIDs), rank, root, degree)
 	}
-	return newSession(cl, gid, nodeIDs, SchemeCollective, scheds, true)
+	return newSession(cl, gid, nodeIDs, SchemeCollective, scheds, true, 0, nil)
 }
 
-// NewAllreduceSession prepares a NIC-based single-word allreduce over the
-// collective protocol on group SessionGroupID. contrib supplies each
+// NewAllreduceSessionWithID prepares a NIC-based single-word allreduce
+// over the collective protocol on group gid. contrib supplies each
 // rank's contribution per iteration; results are collected per iteration
 // and retrievable with Results after Run.
-func NewAllreduceSession(cl *Cluster, nodeIDs []int, alg barrier.Algorithm, opts barrier.Options,
-	op core.ReduceOp, contrib func(rank, iter int) int64) (*Session, error) {
-	return NewAllreduceSessionWithID(cl, SessionGroupID, nodeIDs, alg, opts, op, contrib)
-}
-
-// NewAllreduceSessionWithID is NewAllreduceSession on an explicit group
-// ID.
 func NewAllreduceSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int,
 	alg barrier.Algorithm, opts barrier.Options,
 	op core.ReduceOp, contrib func(rank, iter int) int64) (*Session, error) {
-	if len(nodeIDs) == 0 {
-		panic("myrinet: empty session")
+	// Validate the operator/schedule combination before touching NICs.
+	if err := core.CheckReduce(op, alg, len(nodeIDs)); err != nil {
+		return nil, err
 	}
 	scheds := make([]barrier.Schedule, len(nodeIDs))
 	for rank := range nodeIDs {
 		scheds[rank] = barrier.New(alg, len(nodeIDs), rank, opts)
 	}
-	// Validate the operator/schedule combination before touching NICs.
-	if _, err := core.NewReduceState(op, scheds[0]); err != nil {
-		return nil, err
-	}
-	s, err := newAllreduceSession(cl, gid, nodeIDs, scheds, op)
-	if err != nil {
-		return nil, err
-	}
-	for rank, m := range s.members {
-		rank := rank
-		m.contrib = func(iter int) int64 { return contrib(rank, iter) }
-	}
-	return s, nil
+	return newSession(cl, gid, nodeIDs, SchemeCollective, scheds, false, op, contrib)
 }
 
-func newAllreduceSession(cl *Cluster, gid core.GroupID, nodeIDs []int,
-	scheds []barrier.Schedule, op core.ReduceOp) (*Session, error) {
-	if err := validateMembers(cl, gid, nodeIDs, true); err != nil {
-		return nil, err
-	}
-	s := &Session{cl: cl, gid: gid, nodeIDs: append([]int(nil), nodeIDs...), scheme: SchemeCollective}
-	base := core.NewGroup(gid, s.nodeIDs, 0)
-	for rank := range s.nodeIDs {
-		id := s.nodeIDs[rank]
-		m := &member{
-			s:     s,
-			rank:  rank,
-			node:  cl.Nodes[id],
-			group: base.WithRank(rank),
-			sched: scheds[rank],
-		}
-		if err := m.node.NIC.InstallReduceGroup(m.group, m.sched, op); err != nil {
-			return nil, err
-		}
-		m.node.Host.Bind(int(gid), m.onEvent)
-		s.members = append(s.members, m)
-	}
-	return s, nil
-}
-
-// Results returns the allreduce outcome per iteration and rank; nil for
-// barrier and broadcast sessions.
-func (s *Session) Results() [][]int64 { return s.results }
-
-// validateMembers pre-checks a whole membership before any NIC or host
-// state is touched, so failed constructions leave the cluster exactly as
-// it was (no half-installed groups, no dangling event bindings).
-func validateMembers(cl *Cluster, gid core.GroupID, nodeIDs []int, needSlot bool) error {
+// newSession installs the group on every member; a non-nil contrib
+// makes it an allreduce over the collective protocol with operator op.
+func newSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
+	scheds []barrier.Schedule, gated bool, op core.ReduceOp, contrib func(rank, iter int) int64) (*Session, error) {
 	if len(nodeIDs) == 0 {
 		panic("myrinet: empty session")
 	}
+	// Pre-check the whole membership before any NIC or host state is
+	// touched, so failed constructions leave the cluster exactly as it
+	// was (no half-installed groups, no dangling event bindings).
 	for _, id := range nodeIDs {
 		if id < 0 || id >= len(cl.Nodes) {
 			panic(fmt.Sprintf("myrinet: node %d outside cluster of %d", id, len(cl.Nodes)))
 		}
 		node := cl.Nodes[id]
 		if node.Host.bound(int(gid)) {
-			return fmt.Errorf("myrinet: node %d: group %d already bound", id, gid)
+			return nil, fmt.Errorf("myrinet: node %d: group %d already bound", id, gid)
 		}
-		if needSlot {
+		if scheme != SchemeHost {
 			if err := node.NIC.checkSlot(gid); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	return nil
-}
-
-func newSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
-	scheds []barrier.Schedule, gated bool) (*Session, error) {
-	if err := validateMembers(cl, gid, nodeIDs, scheme != SchemeHost); err != nil {
-		return nil, err
-	}
-	s := &Session{cl: cl, gid: gid, nodeIDs: append([]int(nil), nodeIDs...), scheme: scheme, gated: gated}
-	base := core.NewGroup(gid, s.nodeIDs, 0)
-	for rank := range s.nodeIDs {
-		id := s.nodeIDs[rank]
-		m := &member{
-			s:     s,
-			rank:  rank,
-			node:  cl.Nodes[id],
-			group: base.WithRank(rank),
-			sched: scheds[rank],
-		}
-		switch scheme {
-		case SchemeHost:
-			m.hostOp = core.NewOpState(m.sched)
+	s := &Session{cl: cl, gid: gid, scheme: scheme, contrib: contrib,
+		members: make([]member, len(nodeIDs))}
+	s.Init(cl.Eng, "myrinet "+scheme.String(), len(nodeIDs), gated, contrib != nil, s.start)
+	base := core.NewGroup(gid, append([]int(nil), nodeIDs...), 0)
+	for rank, id := range nodeIDs {
+		m := &s.members[rank]
+		*m = member{s: s, rank: rank, node: cl.Nodes[id], group: base.WithRank(rank)}
+		var err error
+		switch {
+		case contrib != nil:
+			err = m.node.NIC.InstallReduceGroup(m.group, scheds[rank], op)
+		case scheme == SchemeHost:
+			m.hostOp = core.NewOpState(scheds[rank])
 			// Pre-post a pool of receive buffers; each consumed event
 			// is replenished during the run.
-			m.node.Host.PostRecvTokens(len(m.sched.ExpectedArrivals()) + 4)
-		case SchemeDirect:
-			if err := m.node.NIC.InstallDirectGroup(m.group, m.sched); err != nil {
-				return nil, err
-			}
-		case SchemeCollective:
-			if err := m.node.NIC.InstallCollectiveGroup(m.group, m.sched); err != nil {
-				return nil, err
-			}
+			m.node.Host.PostRecvTokens(len(scheds[rank].ExpectedArrivals()) + 4)
+		case scheme == SchemeDirect:
+			err = m.node.NIC.InstallDirectGroup(m.group, scheds[rank])
+		case scheme == SchemeCollective:
+			err = m.node.NIC.InstallCollectiveGroup(m.group, scheds[rank])
 		default:
 			panic(fmt.Sprintf("myrinet: unknown scheme %d", int(scheme)))
 		}
+		if err != nil {
+			return nil, err
+		}
 		m.node.Host.Bind(int(gid), m.onEvent)
-		s.members = append(s.members, m)
 	}
 	return s, nil
-}
-
-// Launch prepares iters consecutive operations and posts iteration 0 on
-// every member, without driving the engine: callers that multiplex
-// several sessions over one cluster launch them all, then run the engine
-// themselves until every session reports Done.
-func (s *Session) Launch(iters int) {
-	if iters < 1 {
-		panic(fmt.Sprintf("myrinet: iterations %d", iters))
-	}
-	if s.closed {
-		panic("myrinet: Launch on a closed session")
-	}
-	if s.aborted {
-		panic("myrinet: Launch on an aborted session (install a new one)")
-	}
-	if s.iters != 0 {
-		panic("myrinet: session launched twice (Reset between runs)")
-	}
-	s.gen++
-	s.iters = iters
-	s.doneAt = make([]sim.Time, iters)
-	s.startAt = make([]sim.Time, iters)
-	for i := range s.startAt {
-		s.startAt[i] = -1
-	}
-	s.pending = make([]int, iters)
-	for i := range s.pending {
-		s.pending[i] = len(s.members)
-	}
-	if len(s.members) > 0 && s.members[0].contrib != nil {
-		s.results = make([][]int64, iters)
-		for i := range s.results {
-			s.results[i] = make([]int64, len(s.members))
-		}
-	}
-	for _, m := range s.members {
-		s.post(m, s.base)
-	}
-}
-
-// Reset readies a finished session for another Launch. The group stays
-// installed on the NICs (its sequence space continues; the protocol's
-// group queue is a long-lived resource), only the run bookkeeping is
-// cleared.
-func (s *Session) Reset() {
-	if s.aborted {
-		panic("myrinet: Reset on an aborted session (install a new one)")
-	}
-	if s.iters > 0 && !s.Done() {
-		panic("myrinet: Reset mid-run")
-	}
-	s.gen++
-	s.base += s.iters
-	s.iters = 0
-	s.doneAt, s.startAt, s.pending, s.results = nil, nil, nil, nil
 }
 
 // Close tears the session down: every member NIC's group-queue slot is
@@ -375,23 +196,14 @@ func (s *Session) Reset() {
 // slot, so only the host binding is released (posted receive tokens stay
 // with the NIC, as GM's do). A closed session cannot be relaunched.
 func (s *Session) Close() {
-	if s.closed {
-		panic("myrinet: session closed twice")
-	}
-	if s.iters > 0 && !s.Done() {
-		panic("myrinet: Close mid-run (drain the launched iterations first)")
-	}
+	s.Loop.Close()
 	for _, m := range s.members {
 		if s.scheme != SchemeHost {
 			m.node.NIC.UninstallGroup(s.gid)
 		}
 		m.node.Host.Unbind(int(s.gid))
 	}
-	s.closed = true
 }
-
-// Closed reports whether the session has been torn down.
-func (s *Session) Closed() bool { return s.closed }
 
 // Abort cancels the current run mid-flight: pending NextAt deferrals
 // are cancelled, host-side schedule state is quiesced, and each member
@@ -401,14 +213,10 @@ func (s *Session) Closed() bool { return s.closed }
 // closed sessions abort as a no-op. Abort does not free the NIC slots
 // — Close does, exactly as in the orderly path.
 func (s *Session) Abort() {
-	if s.closed || s.iters == 0 || s.Done() {
+	if !s.Loop.Abort() {
 		return
 	}
-	s.aborted = true
-	s.gen++ // void any in-flight OnIterDone-chained posts
 	for _, m := range s.members {
-		m.deferTimer.Cancel()
-		m.deferTimer = sim.Timer{}
 		if m.hostOp != nil {
 			m.hostOp.Abort()
 		}
@@ -416,12 +224,7 @@ func (s *Session) Abort() {
 			m.node.NIC.AbortGroup(s.gid)
 		}
 	}
-	s.iters = 0
-	s.doneAt, s.startAt, s.pending, s.results = nil, nil, nil, nil
 }
-
-// Aborted reports whether the session was cancelled mid-run.
-func (s *Session) Aborted() bool { return s.aborted }
 
 // ChargeInstall charges every member NIC's group-install cost on the
 // simulated timeline. The constructors install for free (setup phase,
@@ -433,133 +236,31 @@ func (s *Session) ChargeInstall() {
 	if s.scheme == SchemeHost {
 		return // no NIC-resident state to write
 	}
-	for _, m := range s.members {
-		m.node.NIC.ChargeGroupInstall(s.gid)
+	for i := range s.members {
+		s.members[i].node.NIC.ChargeGroupInstall(s.gid)
 	}
 }
 
-// post starts absolute operation seq on member m, honoring the NextAt
-// gate (which sees run-local iteration numbers).
-func (s *Session) post(m *member, seq int) {
-	if s.NextAt != nil {
-		if at := s.NextAt(m.rank, seq-s.base); at > s.cl.Eng.Now() {
-			m.deferSeq = seq
-			m.deferTimer = s.cl.Eng.ScheduleEvent(at, m)
-			return
-		}
-	}
-	m.start(seq)
-}
-
-// Done reports whether every launched iteration has completed on every
-// member.
-func (s *Session) Done() bool {
-	return s.iters > 0 && s.pending[s.iters-1] == 0
-}
-
-// DoneAt returns the completion time per iteration (valid once Done).
-func (s *Session) DoneAt() []sim.Time { return s.doneAt }
-
-// StartAt returns, per iteration of the current run, the virtual time
-// the first member posted it (-1 if not yet posted). Together with
-// DoneAt it decomposes an operation's latency into queue wait (before
-// start) and in-flight time (start to done).
-func (s *Session) StartAt() []sim.Time { return s.startAt }
-
-// Size reports the number of participating ranks.
-func (s *Session) Size() int { return len(s.members) }
-
-// Run executes iters consecutive barriers and returns the virtual time at
-// which each iteration completed on every node. It panics if the
-// simulation deadlocks before finishing.
-func (s *Session) Run(iters int) []sim.Time {
-	s.Launch(iters)
-	if !s.cl.Eng.RunCondition(s.Done) {
-		panic(fmt.Sprintf("myrinet: %s barrier deadlocked (%d nodes, iter pending %v)",
-			s.scheme, len(s.members), s.pending))
-	}
-	return s.doneAt
-}
-
-// MeanLatency runs warmup+iters consecutive barriers and reports the mean
-// per-barrier latency over the measured iterations, mirroring the paper's
-// methodology (first iterations warm up, the rest are averaged).
-func (s *Session) MeanLatency(warmup, iters int) sim.Duration {
-	doneAt := s.Run(warmup + iters)
-	var start sim.Time
-	if warmup > 0 {
-		start = doneAt[warmup-1]
-	}
-	total := doneAt[warmup+iters-1].Sub(start)
-	return total / sim.Duration(iters)
-}
-
-// complete records one member's completion of absolute operation seq.
-func (s *Session) complete(rank, seq int) {
-	if s.aborted {
-		return // late completion racing the abort; the run is void
-	}
-	rel := seq - s.base
-	if rel >= s.iters {
-		panic(fmt.Sprintf("myrinet: completion for iteration %d beyond %d", rel, s.iters))
-	}
-	s.pending[rel]--
-	if s.pending[rel] < 0 {
-		panic(fmt.Sprintf("myrinet: double completion of iteration %d by rank %d", rel, rank))
-	}
-	gen := s.gen
-	if s.pending[rel] == 0 {
-		s.doneAt[rel] = s.cl.Eng.Now()
-		if s.OnIterDone != nil {
-			s.OnIterDone(rel, s.doneAt[rel])
-		}
-		if s.gen != gen {
-			// The callback reset (and possibly relaunched) the session;
-			// this run's chained posts are void — the new run posted its
-			// own openers.
-			return
-		}
-		if s.gated {
-			if next := rel + 1; next < s.iters {
-				for _, m := range s.members {
-					s.post(m, seq+1)
-				}
-			}
-		}
-	}
-	if !s.gated {
-		if next := rel + 1; next < s.iters {
-			s.post(s.members[rank], seq+1)
-		}
-	}
-}
-
-// markStart stamps the first member's post time for operation seq.
-func (s *Session) markStart(seq int) {
-	if rel := seq - s.base; rel >= 0 && rel < len(s.startAt) && s.startAt[rel] < 0 {
-		s.startAt[rel] = s.cl.Eng.Now()
-	}
-}
-
-// start posts absolute operation #seq on this member's node.
-func (m *member) start(seq int) {
-	m.s.markStart(seq)
-	if m.contrib != nil {
-		m.node.Host.PostReduce(int(m.s.gid), m.contrib(seq-m.s.base))
+// start posts absolute operation #seq on rank's node; the core.Loop
+// calls it for every post.
+func (s *Session) start(rank, seq int) {
+	m := &s.members[rank]
+	if s.contrib != nil {
+		m.node.Host.PostReduce(int(s.gid), s.contrib(rank, seq-s.Base()))
 		return
 	}
-	switch m.s.scheme {
+	switch s.scheme {
 	case SchemeHost:
 		sends, done, err := m.hostOp.Start(seq)
 		if err != nil {
-			panic(fmt.Sprintf("myrinet: rank %d: %v", m.rank, err))
+			panic(fmt.Sprintf("myrinet: rank %d: %v", rank, err))
 		}
 		m.hostSend(seq, sends)
 		if done {
-			m.s.complete(m.rank, seq)
+			s.Complete(rank, seq)
 		}
 	default:
-		m.node.Host.PostBarrier(int(m.s.gid))
+		m.node.Host.PostBarrier(int(s.gid))
 	}
 }
 
@@ -573,10 +274,8 @@ func (m *member) hostSend(seq int, ranks []int) {
 func (m *member) onEvent(ev Event) {
 	switch ev.Kind {
 	case EvBarrierDone:
-		if rel := ev.Seq - m.s.base; m.s.results != nil && rel < len(m.s.results) {
-			m.s.results[rel][m.rank] = ev.Value
-		}
-		m.s.complete(m.rank, ev.Seq)
+		m.s.Record(m.rank, ev.Seq, ev.Value)
+		m.s.Complete(m.rank, ev.Seq)
 	case EvRecv:
 		tag, ok := ev.Tag.(hostBarrierTag)
 		if !ok {
@@ -594,7 +293,7 @@ func (m *member) onEvent(ev Event) {
 		}
 		m.hostSend(m.hostOp.Seq(), sends)
 		if done {
-			m.s.complete(m.rank, m.hostOp.Seq())
+			m.s.Complete(m.rank, m.hostOp.Seq())
 		}
 	case EvSendDone:
 		// Send completions are consumed (host cost already charged) and
