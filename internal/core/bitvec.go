@@ -80,6 +80,22 @@ func (v *BitVector) Clear() {
 	v.set = 0
 }
 
+// copyFrom overwrites v with src, which must have the same capacity.
+func (v *BitVector) copyFrom(src *BitVector) {
+	copy(v.bits, src.bits)
+	v.set = src.set
+}
+
+// allSet reports whether every bit in [lo, hi) is set.
+func (v *BitVector) allSet(lo, hi int) bool {
+	for i := lo; i < hi; i++ {
+		if v.bits[i/64]&(uint64(1)<<(i%64)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Missing returns the indices of clear bits, in ascending order.
 func (v *BitVector) Missing() []int {
 	if v.Full() {

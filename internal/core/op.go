@@ -2,37 +2,46 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"nicbarrier/internal/barrier"
 )
 
 // OpState is the per-group, per-rank state machine for consecutive
 // collective operations. It is the protocol's "single send record per
-// operation": one bit vector tracks peer arrivals, one flag per step
-// tracks this rank's sends, and a one-deep early buffer absorbs
-// notifications for operation seq+1 that arrive while seq is still in
-// flight (a fast peer may complete barrier k and inject its first message
-// of barrier k+1 before a slow peer finishes k; messages for k+2 are
-// impossible while k is incomplete, because completing k+1 requires this
-// rank's k+1 messages, so one buffer is provably enough).
+// operation": one bit vector tracks peer arrivals, a step counter tracks
+// this rank's sends, and a one-deep early buffer absorbs notifications
+// for operation seq+1 that arrive while seq is still in flight (a fast
+// peer may complete barrier k and inject its first message of barrier
+// k+1 before a slow peer finishes k; messages for k+2 are impossible
+// while k is incomplete, because completing k+1 requires this rank's k+1
+// messages, so one buffer is provably enough).
 //
 // The state machine is pure: it charges no simulated time and sends no
 // packets. Callers (the Myrinet MCP collective module, the Quadrics
 // chained-RDMA model) translate the returned rank lists into wire traffic
 // and charge their own processing costs.
+//
+// The layout is map-free and sized by the rank's schedule, never by the
+// group. Arrival bits follow ExpectedArrivals order, so each step waits
+// on a contiguous bit range and Missing lists ranks in schedule order.
+// The tables share one allocation, in the order Arrive reads them, and
+// the fields Arrive reads come first, so an arrival touches few cache
+// lines.
 type OpState struct {
-	sched barrier.Schedule
+	seq     int // active or most recently completed operation; -1 before first
+	step    int
+	sent    int // steps whose sends were issued: step or step+1 while active
+	active  bool
+	arrived BitVector // arrivals for the active operation, by bit
+	bitOf   []int     // pair(sender rank, bit), sorted
+	waitEnd []int     // step i waits on bits [waitEnd[i], waitEnd[i+1])
+	sendEnd []int     // step i sends to sends[sendEnd[i]:sendEnd[i+1]]
+	sends   []int     // every step's destinations, back to back
 
-	seq    int // active or most recently completed operation; -1 before first
-	active bool
-	step   int
-	sent   []bool // per step
-
-	arrived  *BitVector
-	rankBit  map[int]int // expected sender rank -> bit index
-	sendStep map[int]int // destination rank -> step performing that send
-
-	early map[int]bool // buffered arrivals for seq+1, by sender rank
+	early  BitVector // buffered arrivals for seq+1, by bit
+	rankOf []int     // arrival bit -> sender rank
+	sendOf []int     // pair(destination rank, step), sorted
 
 	// Duplicates counts arrivals that were already recorded (retransmits
 	// that raced the original); they are ignored but visible for tests.
@@ -41,36 +50,69 @@ type OpState struct {
 	Stale int
 }
 
-// NewOpState builds the state machine for one rank's schedule.
-func NewOpState(sched barrier.Schedule) *OpState {
-	o := &OpState{
-		sched:    sched,
-		seq:      -1,
-		sent:     make([]bool, len(sched.Steps)),
-		rankBit:  make(map[int]int),
-		sendStep: make(map[int]int),
-		early:    make(map[int]bool),
+// pair packs a peer rank and an index (an arrival bit or a step) into
+// one int, rank in the high half, so sorting pairs sorts them by rank.
+func pair(rank, idx int) int { return rank<<32 | idx }
+
+// lookup binary-searches sorted pairs for rank's index.
+func lookup(ps []int, rank int) (int, bool) {
+	i, _ := slices.BinarySearch(ps, pair(rank, 0))
+	if i < len(ps) && ps[i]>>32 == rank {
+		return ps[i] & (1<<32 - 1), true
 	}
-	for _, r := range sched.ExpectedArrivals() {
-		if _, dup := o.rankBit[r]; dup {
-			panic(fmt.Sprintf("core: schedule waits twice on rank %d", r))
-		}
-		o.rankBit[r] = len(o.rankBit)
-	}
-	for i, st := range sched.Steps {
-		for _, dst := range st.Send {
-			if _, dup := o.sendStep[dst]; dup {
-				panic(fmt.Sprintf("core: schedule sends twice to rank %d", dst))
-			}
-			o.sendStep[dst] = i
-		}
-	}
-	o.arrived = NewBitVector(len(o.rankBit))
-	return o
+	return 0, false
 }
 
-// Schedule returns the schedule this state machine executes.
-func (o *OpState) Schedule() barrier.Schedule { return o.sched }
+// sortPairs sorts ps by rank and panics on a repeated rank with msg.
+func sortPairs(ps []int, msg string) {
+	slices.Sort(ps)
+	for i := 1; i < len(ps); i++ {
+		if ps[i]>>32 == ps[i-1]>>32 {
+			panic(fmt.Sprintf("core: schedule %s rank %d", msg, ps[i]>>32))
+		}
+	}
+}
+
+// NewOpState builds the state machine for one rank's schedule. It copies
+// what it needs and keeps no reference to sched, and it makes the same
+// number of allocations whatever the group size.
+func NewOpState(sched barrier.Schedule) *OpState {
+	nWait, nSend, nSteps := 0, 0, len(sched.Steps)
+	for _, st := range sched.Steps {
+		nWait += len(st.Wait)
+		nSend += len(st.Send)
+	}
+	o := &OpState{seq: -1}
+	tables := make([]int, 2*nWait+2*nSend+2*(nSteps+1))
+	take := func(n int) []int {
+		t := tables[:n:n]
+		tables = tables[n:]
+		return t
+	}
+	o.bitOf, o.waitEnd, o.sendEnd = take(nWait), take(nSteps+1), take(nSteps+1)
+	o.sends, o.rankOf, o.sendOf = take(nSend), take(nWait), take(nSend)
+	bit, k := 0, 0
+	for i, st := range sched.Steps {
+		for _, r := range st.Wait {
+			o.rankOf[bit] = r
+			o.bitOf[bit] = pair(r, bit)
+			bit++
+		}
+		for _, dst := range st.Send {
+			o.sends[k] = dst
+			o.sendOf[k] = pair(dst, i)
+			k++
+		}
+		o.waitEnd[i+1], o.sendEnd[i+1] = bit, k
+	}
+	sortPairs(o.bitOf, "waits twice on")
+	sortPairs(o.sendOf, "sends twice to")
+	words := (nWait + 63) / 64
+	bits := make([]uint64, 2*words)
+	o.arrived = BitVector{bits: bits[:words:words], n: nWait}
+	o.early = BitVector{bits: bits[words:], n: nWait}
+	return o
+}
 
 // Seq reports the active (or most recently completed) operation sequence;
 // -1 before the first Start.
@@ -81,6 +123,9 @@ func (o *OpState) Active() bool { return o.active }
 
 // Step reports the current step index of the active operation.
 func (o *OpState) Step() int { return o.step }
+
+// steps reports the number of steps in the schedule.
+func (o *OpState) steps() int { return len(o.waitEnd) - 1 }
 
 // Start activates operation seq (which must be exactly the successor of
 // the previous operation), replays any buffered early arrivals, and
@@ -96,18 +141,9 @@ func (o *OpState) Start(seq int) (sends []int, completed bool, err error) {
 	o.seq = seq
 	o.active = true
 	o.step = 0
-	for i := range o.sent {
-		o.sent[i] = false
-	}
-	o.arrived.Clear()
-	for r := range o.early {
-		bit, ok := o.rankBit[r]
-		if !ok {
-			return nil, false, fmt.Errorf("core: buffered arrival from unexpected rank %d", r)
-		}
-		o.arrived.Set(bit)
-	}
-	clear(o.early)
+	o.sent = 0
+	o.arrived.copyFrom(&o.early)
+	o.early.Clear()
 	sends, completed = o.advance()
 	return sends, completed, nil
 }
@@ -115,14 +151,15 @@ func (o *OpState) Start(seq int) (sends []int, completed bool, err error) {
 // Arrive records a peer notification for operation seq. It returns the
 // newly unblocked sends and whether the active operation completed.
 // Arrivals for seq+1 are buffered; duplicates and stale arrivals are
-// counted and ignored.
+// counted and ignored. The sends slice Start and Arrive return is
+// read-only: it aliases the state machine's own send list.
 func (o *OpState) Arrive(seq, fromRank int) (sends []int, completed bool, err error) {
 	switch {
 	case seq <= o.seq-1 || (seq == o.seq && !o.active):
 		o.Stale++
 		return nil, false, nil
 	case seq == o.seq && o.active:
-		bit, ok := o.rankBit[fromRank]
+		bit, ok := lookup(o.bitOf, fromRank)
 		if !ok {
 			return nil, false, fmt.Errorf("core: arrival from unexpected rank %d", fromRank)
 		}
@@ -133,40 +170,38 @@ func (o *OpState) Arrive(seq, fromRank int) (sends []int, completed bool, err er
 		sends, completed = o.advance()
 		return sends, completed, nil
 	case seq == o.seq+1:
-		if _, ok := o.rankBit[fromRank]; !ok {
+		bit, ok := lookup(o.bitOf, fromRank)
+		if !ok {
 			return nil, false, fmt.Errorf("core: early arrival from unexpected rank %d", fromRank)
 		}
-		if o.early[fromRank] {
+		if !o.early.Set(bit) {
 			o.Duplicates++
-			return nil, false, nil
 		}
-		o.early[fromRank] = true
 		return nil, false, nil
 	default:
 		return nil, false, fmt.Errorf("core: arrival for op %d while at op %d (impossible lookahead)", seq, o.seq)
 	}
 }
 
-// advance performs all sends whose steps have started and completes all
-// steps whose waits are satisfied, returning newly issued sends.
+// advance issues the sends of every step it reaches and completes every
+// step whose waits are satisfied. The steps it reaches are consecutive,
+// so their sends are one contiguous, capacity-clipped window of o.sends:
+// no copy, whatever the number of steps.
 func (o *OpState) advance() (sends []int, completed bool) {
-	for o.step < len(o.sched.Steps) {
-		st := o.sched.Steps[o.step]
-		if !o.sent[o.step] {
-			o.sent[o.step] = true
-			sends = append(sends, st.Send...)
-		}
-		done := true
-		for _, w := range st.Wait {
-			if !o.arrived.Get(o.rankBit[w]) {
-				done = false
-				break
-			}
-		}
-		if !done {
-			return sends, false
+	nSteps := o.steps()
+	from := o.sendEnd[o.sent]
+	for o.step < nSteps {
+		o.sent = o.step + 1
+		if !o.arrived.allSet(o.waitEnd[o.step], o.waitEnd[o.step+1]) {
+			break
 		}
 		o.step++
+	}
+	if to := o.sendEnd[o.sent]; to > from {
+		sends = o.sends[from:to:to]
+	}
+	if o.step < nSteps {
+		return sends, false
 	}
 	o.active = false
 	return sends, true
@@ -181,8 +216,8 @@ func (o *OpState) advance() (sends []int, completed bool) {
 // installs a fresh group (new ID, fresh records) instead.
 func (o *OpState) Abort() {
 	o.active = false
-	o.step = len(o.sched.Steps)
-	clear(o.early)
+	o.step = o.steps()
+	o.early.Clear()
 }
 
 // Missing lists the peer ranks whose notifications for the active
@@ -192,13 +227,9 @@ func (o *OpState) Missing() []int {
 	if !o.active {
 		return nil
 	}
-	byBit := make([]int, len(o.rankBit))
-	for r, b := range o.rankBit {
-		byBit[b] = r
-	}
-	var out []int
-	for _, b := range o.arrived.Missing() {
-		out = append(out, byBit[b])
+	out := o.arrived.Missing()
+	for i, b := range out {
+		out[i] = int(o.rankOf[b])
 	}
 	return out
 }
@@ -208,7 +239,7 @@ func (o *OpState) Missing() []int {
 // in response to a NACK). Operations before the current one sent
 // everything by construction.
 func (o *OpState) HasSent(seq, toRank int) bool {
-	step, sendsToRank := o.sendStep[toRank]
+	step, sendsToRank := lookup(o.sendOf, toRank)
 	if !sendsToRank {
 		return false
 	}
@@ -216,7 +247,7 @@ func (o *OpState) HasSent(seq, toRank int) bool {
 	case seq < o.seq || (seq == o.seq && !o.active):
 		return true
 	case seq == o.seq:
-		return o.sent[step]
+		return step < o.sent
 	default:
 		return false
 	}

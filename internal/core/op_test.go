@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -273,5 +274,163 @@ func TestOpGroupProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Missing lists ranks in ExpectedArrivals order, which is the order the
+// NACKs go out in; the order must not depend on the lookup layout.
+func TestOpMissingInExpectedArrivalsOrder(t *testing.T) {
+	sched := barrier.New(barrier.Dissemination, 8, 0, barrier.Options{})
+	want := sched.ExpectedArrivals() // 7, 6, 4: not ascending
+	o := NewOpState(sched)
+	mustStart(t, o, 0)
+	if got := o.Missing(); !slices.Equal(got, want) {
+		t.Fatalf("Missing = %v, want %v", got, want)
+	}
+	mustArrive(t, o, 0, want[1])
+	if got, rest := o.Missing(), []int{want[0], want[2]}; !slices.Equal(got, rest) {
+		t.Fatalf("Missing = %v, want %v", got, rest)
+	}
+}
+
+// A duplicate early arrival counts once as a duplicate, and Start
+// replays the early set into the new operation.
+func TestOpEarlyDuplicateAndReplay(t *testing.T) {
+	// n=4 rank 0: step 0 sends 1, waits 3; step 1 sends 2, waits 2.
+	o := NewOpState(barrier.New(barrier.Dissemination, 4, 0, barrier.Options{}))
+	mustStart(t, o, 0)
+	mustArrive(t, o, 1, 2)
+	mustArrive(t, o, 1, 2)
+	if o.Duplicates != 1 {
+		t.Fatalf("duplicates = %d, want 1", o.Duplicates)
+	}
+	mustArrive(t, o, 0, 3)
+	if _, completed := mustArrive(t, o, 0, 2); !completed {
+		t.Fatal("op 0 did not complete")
+	}
+	sends, completed := mustStart(t, o, 1)
+	if !slices.Equal(sends, []int{1}) || completed {
+		t.Fatalf("Start(1): sends=%v completed=%v", sends, completed)
+	}
+	if got := o.Missing(); !slices.Equal(got, []int{3}) {
+		t.Fatalf("Missing after replay = %v, want [3]", got)
+	}
+	if sends, completed := mustArrive(t, o, 1, 3); !slices.Equal(sends, []int{2}) || !completed {
+		t.Fatalf("Arrive: sends=%v completed=%v", sends, completed)
+	}
+}
+
+// Abort discards buffered early arrivals: nothing of the abandoned
+// sequence leaks into a later Start.
+func TestOpAbortClearsEarly(t *testing.T) {
+	o := NewOpState(barrier.New(barrier.Dissemination, 4, 0, barrier.Options{}))
+	mustStart(t, o, 0)
+	mustArrive(t, o, 1, 3)
+	o.Abort()
+	if o.Active() || o.Missing() != nil {
+		t.Fatalf("active=%v missing=%v after Abort", o.Active(), o.Missing())
+	}
+	mustStart(t, o, 1)
+	if got := o.Missing(); !slices.Equal(got, []int{3, 2}) {
+		t.Fatalf("Missing = %v, want [3 2]: the early arrival survived Abort", got)
+	}
+}
+
+// HasSent is false, in every phase, for a rank the schedule never sends
+// to, and for ranks outside the group.
+func TestOpHasSentNeverSentRank(t *testing.T) {
+	o := NewOpState(barrier.New(barrier.Dissemination, 4, 0, barrier.Options{}))
+	never := []int{0, 3, -1, 4, 1 << 20}
+	check := func(phase string) {
+		for _, r := range never {
+			for seq := -1; seq <= 2; seq++ {
+				if o.HasSent(seq, r) {
+					t.Fatalf("%s: HasSent(%d, %d) = true", phase, seq, r)
+				}
+			}
+		}
+	}
+	check("before start")
+	mustStart(t, o, 0)
+	check("active")
+	mustArrive(t, o, 0, 3)
+	mustArrive(t, o, 0, 2)
+	check("completed")
+}
+
+func TestOpConstructorPanics(t *testing.T) {
+	for name, steps := range map[string][]barrier.Step{
+		"waits twice": {{Wait: []int{1}}, {Send: []int{2}, Wait: []int{3, 1}}},
+		"sends twice": {{Send: []int{1, 2}}, {Send: []int{2}, Wait: []int{3}}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			NewOpState(barrier.Schedule{N: 4, Rank: 0, Steps: steps})
+		})
+	}
+}
+
+// NewOpState's allocation count does not depend on the group size, so
+// no per-peer map or rank-indexed table can creep back in.
+func TestOpStateAllocsIndependentOfGroupSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		sched := barrier.New(barrier.Dissemination, n, n/3, barrier.Options{})
+		return testing.AllocsPerRun(20, func() { NewOpState(sched) })
+	}
+	small, large := allocs(16), allocs(8192)
+	if small != large {
+		t.Fatalf("NewOpState allocates %.0f objects at 16 ranks, %.0f at 8192", small, large)
+	}
+}
+
+// An in-order operation issues one step's sends per call, and those are
+// returned without a copy.
+func TestOpInOrderOperationZeroAlloc(t *testing.T) {
+	sched := barrier.New(barrier.Dissemination, 8192, 0, barrier.Options{})
+	o := NewOpState(sched)
+	from := sched.ExpectedArrivals()
+	seq := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		runInOrder(o, seq, from)
+		seq++
+	})
+	if allocs != 0 {
+		t.Fatalf("in-order operation allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// runInOrder starts operation seq and delivers every expected arrival
+// in schedule order; it panics unless that completes the operation.
+func runInOrder(o *OpState, seq int, from []int) {
+	if _, _, err := o.Start(seq); err != nil {
+		panic(err)
+	}
+	completed := false
+	for _, r := range from {
+		var err error
+		if _, completed, err = o.Arrive(seq, r); err != nil {
+			panic(err)
+		}
+	}
+	if !completed {
+		panic("in-order operation did not complete")
+	}
+}
+
+// BenchmarkOpStateArrive runs one full in-order operation of one rank
+// of an 8,192-rank dissemination schedule per iteration: a Start and
+// 13 Arrives. The steady state is 0 allocs/op (gated in CI).
+func BenchmarkOpStateArrive(b *testing.B) {
+	sched := barrier.New(barrier.Dissemination, 8192, 0, barrier.Options{})
+	o := NewOpState(sched)
+	from := sched.ExpectedArrivals()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runInOrder(o, i, from)
 	}
 }

@@ -46,3 +46,20 @@ func BenchmarkEngineDepth64(b *testing.B) {
 		eng.Step()
 	}
 }
+
+// BenchmarkEngineDepth4096 is BenchmarkEngineDepth64 at the pending
+// depth the 2048-node lossy multi-tenant workload reaches (about 3,200
+// events), where sift moves dominate the engine's cost.
+func BenchmarkEngineDepth4096(b *testing.B) {
+	eng := NewEngine()
+	fn := func() {}
+	for i := 0; i < 4096; i++ {
+		eng.After(Duration(i+1), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.After(4097, fn)
+		eng.Step()
+	}
+}

@@ -15,13 +15,13 @@ type Event interface {
 }
 
 // entry is one scheduled occurrence, stored by value in the engine's
-// queue. Exactly one of fn and ev is set.
+// queue. It holds no pointers: the callback lives in the entry's slot,
+// which never moves, so sifting copies plain words (no GC write
+// barrier) and the collector never scans the queue.
 type entry struct {
 	at   Time
 	seq  uint64 // tie-breaker: FIFO among events at the same instant
-	slot int32  // handle slot backing the Timer for this entry
-	fn   func()
-	ev   Event
+	slot int32  // slot holding the callback and backing the Timer
 }
 
 // before orders entries by (at, seq) — the engine's total event order.
@@ -37,7 +37,9 @@ func (a entry) before(b entry) bool {
 // Timer handle slots. A slot is acquired per scheduled entry and
 // released when the entry fires or is removed; its generation counter
 // increments on release, so a stale Timer held across the slot's reuse
-// can never cancel the wrong event.
+// can never cancel the wrong event. The slot also holds the entry's
+// callback (exactly one of fn and ev while the slot is in use); release
+// clears both, so a fired or discarded event pins nothing.
 const (
 	slotFree = iota
 	slotLive
@@ -48,6 +50,8 @@ type slot struct {
 	gen   uint64
 	state uint8
 	next  int32 // free-list link, valid while state == slotFree
+	fn    func()
+	ev    Event
 }
 
 // compactMin is the queue size below which cancelled entries are left
@@ -58,11 +62,13 @@ const compactMin = 64
 // usable; construct with NewEngine. An Engine (and everything scheduled
 // on it) belongs to a single goroutine.
 //
-// The queue is a value-typed 4-ary min-heap with a slot-based free list
-// for Timer handles: steady-state scheduling performs no heap
-// allocation (the backing arrays are reused), Cancel is O(1) (entries
-// are marked through their slot and skipped when they surface), and the
-// queue compacts itself when cancelled entries outnumber live ones.
+// The queue is a value-typed 4-ary min-heap of pointer-free
+// (at, seq, slot) entries; callbacks are kept in a slot table with a
+// free list, and the slot doubles as the Timer handle. Steady-state
+// scheduling performs no heap allocation (the backing arrays are
+// reused), sifts move no pointers, Cancel is O(1) (entries are marked
+// through their slot and skipped when they surface), and the queue
+// compacts itself when cancelled entries outnumber live ones.
 type Engine struct {
 	now     Time
 	queue   []entry
@@ -185,13 +191,11 @@ func (e *Engine) siftDown(i int) {
 	e.queue[i] = en
 }
 
-// popMin removes and returns the minimum entry. The vacated tail cell
-// is zeroed so dropped fn/ev references do not pin garbage.
+// popMin removes and returns the minimum entry.
 func (e *Engine) popMin() entry {
 	min := e.queue[0]
 	n := len(e.queue) - 1
 	last := e.queue[n]
-	e.queue[n] = entry{}
 	e.queue = e.queue[:n]
 	if n > 0 {
 		e.queue[0] = last
@@ -212,13 +216,16 @@ func (e *Engine) acquireSlot() int32 {
 	return int32(len(e.slots) - 1)
 }
 
-// releaseSlot returns a slot to the free list and bumps its generation,
-// invalidating every outstanding Timer that still points at it.
+// releaseSlot returns a slot to the free list, clears its callback and
+// bumps its generation, invalidating every outstanding Timer that still
+// points at it.
 func (e *Engine) releaseSlot(s int32) {
 	sl := &e.slots[s]
 	sl.gen++
 	sl.state = slotFree
 	sl.next = e.freeSlot
+	sl.fn = nil
+	sl.ev = nil
 	e.freeSlot = s
 }
 
@@ -233,7 +240,8 @@ func (e *Engine) Schedule(at Time, fn func()) Timer {
 }
 
 // ScheduleEvent is Schedule for pooled Event values: no closure, and no
-// allocation on the engine side — the entry lives by value in the queue.
+// allocation on the engine side — the entry lives by value in the queue
+// and the Event in a reused slot.
 func (e *Engine) ScheduleEvent(at Time, ev Event) Timer {
 	if ev == nil {
 		panic("sim: nil event")
@@ -246,7 +254,9 @@ func (e *Engine) schedule(at Time, fn func(), ev Event) Timer {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
 	}
 	s := e.acquireSlot()
-	e.push(entry{at: at, seq: e.seq, slot: s, fn: fn, ev: ev})
+	sl := &e.slots[s]
+	sl.fn, sl.ev = fn, ev
+	e.push(entry{at: at, seq: e.seq, slot: s})
 	e.seq++
 	e.live++
 	return Timer{eng: e, slot: s, gen: e.slots[s].gen}
@@ -277,6 +287,10 @@ func (e *Engine) Step() bool {
 			e.releaseSlot(en.slot)
 			continue
 		}
+		// Read the callback first: releasing clears the slot, which
+		// the callback may then reuse.
+		sl := &e.slots[en.slot]
+		fn, ev := sl.fn, sl.ev
 		e.releaseSlot(en.slot)
 		e.now = en.at
 		e.executed++
@@ -284,10 +298,10 @@ func (e *Engine) Step() bool {
 		if e.obs != nil {
 			e.obs.EventFired(en.at)
 		}
-		if en.fn != nil {
-			en.fn()
+		if fn != nil {
+			fn()
 		} else {
-			en.ev.Fire()
+			ev.Fire()
 		}
 		return true
 	}
@@ -384,9 +398,6 @@ func (e *Engine) compact() {
 			continue
 		}
 		kept = append(kept, en)
-	}
-	for i := len(kept); i < len(e.queue); i++ {
-		e.queue[i] = entry{}
 	}
 	e.queue = kept
 	// Floyd heapify: restore the 4-ary heap property bottom-up.

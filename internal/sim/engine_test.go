@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -266,6 +267,82 @@ func TestCancelCompactionOrdering(t *testing.T) {
 		if fired[i] != want[i] {
 			t.Fatalf("fired[%d] = %d, want %d", i, fired[i], want[i])
 		}
+	}
+}
+
+// A released slot must drop its callback at every release site: after
+// the event fires, after a cancelled entry surfaces at the queue head,
+// and after compaction removes cancelled entries wholesale.
+func TestFreeSlotsHoldNoCallback(t *testing.T) {
+	e := NewEngine()
+	e.After(1, func() {})
+	e.AfterEvent(2, &countEvent{})
+	e.Step()
+	e.Step()
+	checkFreeSlotsClear(t, e)
+
+	e.Schedule(5, func() {}).Cancel()
+	e.ScheduleEvent(6, &countEvent{}).Cancel()
+	e.Schedule(7, func() {})
+	if at, ok := e.NextAt(); !ok || at != 7 {
+		t.Fatalf("NextAt = %v,%v, want 7", at, ok)
+	}
+	checkFreeSlotsClear(t, e)
+	e.Step()
+	checkFreeSlotsClear(t, e)
+
+	var timers []Timer
+	for i := 0; i < 2*compactMin; i++ {
+		timers = append(timers, e.After(Duration(100+i), func() {}))
+		timers = append(timers, e.AfterEvent(Duration(100+i), &countEvent{}))
+	}
+	for i, timer := range timers {
+		if i%8 != 0 {
+			timer.Cancel()
+		}
+	}
+	if e.cancelled >= len(timers)/2 {
+		t.Fatalf("%d cancelled entries left in the queue; compaction did not run", e.cancelled)
+	}
+	checkFreeSlotsClear(t, e)
+	e.Run()
+	checkFreeSlotsClear(t, e)
+}
+
+// hasPointers reports whether values of type t contain a pointer the
+// garbage collector must trace.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	default:
+		return true
+	}
+}
+
+// The queue entry must stay pointer-free: a pointer field would put
+// every sift move back under the GC write barrier and make the
+// collector scan the whole queue.
+func TestEntryIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(entry{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); hasPointers(f.Type) {
+			t.Errorf("entry.%s (%v) holds a pointer", f.Name, f.Type)
+		}
+	}
+	if !hasPointers(reflect.TypeOf(slot{})) {
+		t.Error("hasPointers misses the callback fields of slot")
 	}
 }
 
