@@ -8,7 +8,10 @@
 //   - a relative link in README.md, ARCHITECTURE.md or ROADMAP.md points
 //     at a file that does not exist, or
 //   - an "N-metric" or "N metrics" count in README.md or ARCHITECTURE.md
-//     differs from the number of metrics in bench/baseline.json.
+//     differs from the number of metrics in bench/baseline.json, or
+//   - a ./cmd/<name> path in README.md, ARCHITECTURE.md or
+//     .github/workflows/ci.yml names a command directory that does not
+//     exist.
 //
 // Usage:
 //
@@ -37,7 +40,7 @@ import (
 
 // docPackages are the packages whose exported surface must be fully
 // documented: the public facade and the layers ARCHITECTURE.md leans on.
-var docPackages = []string{".", "internal/sim", "internal/netsim", "internal/core", "internal/comm", "internal/obs"}
+var docPackages = []string{".", "internal/sim", "internal/netsim", "internal/core", "internal/comm", "internal/obs", "internal/catalog"}
 
 // linkFiles are the markdown documents whose relative links must resolve.
 var linkFiles = []string{"README.md", "ARCHITECTURE.md", "ROADMAP.md"}
@@ -45,6 +48,10 @@ var linkFiles = []string{"README.md", "ARCHITECTURE.md", "ROADMAP.md"}
 // countFiles are the markdown documents whose metric counts must match
 // the committed baseline.
 var countFiles = []string{"README.md", "ARCHITECTURE.md"}
+
+// cmdFiles are the files whose ./cmd/<name> invocations must name an
+// existing command.
+var cmdFiles = []string{"README.md", "ARCHITECTURE.md", ".github/workflows/ci.yml"}
 
 func main() {
 	root := flag.String("root", ".", "repository root to lint")
@@ -58,6 +65,7 @@ func main() {
 		violations = append(violations, lintLinks(*root, f)...)
 	}
 	violations = append(violations, lintMetricCounts(*root)...)
+	violations = append(violations, lintCmdPaths(*root)...)
 	for _, v := range violations {
 		fmt.Fprintln(os.Stderr, v)
 	}
@@ -223,6 +231,31 @@ func lintMetricCounts(root string) []string {
 				if m[1] != strconv.Itoa(len(base.Metrics)) {
 					out = append(out, fmt.Sprintf("%s:%d: %q, but bench/baseline.json holds %d metrics",
 						name, i+1, m[0], len(base.Metrics)))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// cmdPath matches "./cmd/simrun"; group 1 is the command name.
+var cmdPath = regexp.MustCompile(`\./cmd/([\w-]+)`)
+
+// lintCmdPaths reports ./cmd/<name> paths in cmdFiles whose directory
+// does not exist under root, so a deleted or renamed command cannot
+// linger in the docs or in CI.
+func lintCmdPaths(root string) []string {
+	var out []string
+	for _, name := range cmdFiles {
+		data, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			out = append(out, fmt.Sprintf("%s: %v", name, err))
+			continue
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range cmdPath.FindAllStringSubmatch(line, -1) {
+				if fi, err := os.Stat(filepath.Join(root, "cmd", m[1])); err != nil || !fi.IsDir() {
+					out = append(out, fmt.Sprintf("%s:%d: %q names no command directory", name, i+1, m[0]))
 				}
 			}
 		}

@@ -1,7 +1,8 @@
 // Command simserve hosts the live observability plane: it launches
-// named simulation scenarios (multi-tenant workloads, tenant churn,
-// fault-injected runs) with a metronome-armed trace and serves their
-// metrics over HTTP while they run.
+// named runs from internal/catalog (the table cmd/simrun lists: fault
+// scenarios, multi-tenant workloads, tenant churn) with a
+// metronome-armed trace and serves their metrics over HTTP while they
+// run.
 //
 // Endpoints:
 //
@@ -31,108 +32,11 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 
 	"nicbarrier"
+	"nicbarrier/internal/catalog"
 	"nicbarrier/internal/metricsrv"
 )
-
-// scenario is one named simulation the service can host. run drives the
-// workload to completion over the public facade and returns the /runs
-// summary line.
-type scenario struct {
-	name string
-	desc string
-	kind string // "workload", "churn", "chaos"
-	run  func(tr *nicbarrier.Trace, seed uint64) (string, error)
-}
-
-func scenarios() []scenario {
-	xp := func(nodes int, tr *nicbarrier.Trace, seed uint64) nicbarrier.Config {
-		return nicbarrier.Config{
-			Interconnect: nicbarrier.MyrinetLANaiXP,
-			Nodes:        nodes,
-			Scheme:       nicbarrier.NICCollective,
-			Seed:         seed,
-			Trace:        tr,
-		}
-	}
-	wlSummary := func(res nicbarrier.WorkloadResult) string {
-		return fmt.Sprintf("%d ops, %.0f ops/s aggregate, fairness %.3f",
-			res.TotalOps, res.AggregateOpsPerSec, res.Fairness)
-	}
-	return []scenario{
-		{
-			name: "saturate-64",
-			desc: "16 tenants carve a 64-node cluster, back-to-back barriers",
-			kind: "workload",
-			run: func(tr *nicbarrier.Trace, seed uint64) (string, error) {
-				res, err := nicbarrier.MeasureWorkload(xp(64, tr, seed),
-					nicbarrier.WorkloadSpec{Tenants: 16, OpsPerTenant: 40})
-				if err != nil {
-					return "", err
-				}
-				return wlSummary(res), nil
-			},
-		},
-		{
-			name: "mixed-collectives",
-			desc: "2:1:1 barrier:broadcast:allreduce mix with think time",
-			kind: "workload",
-			run: func(tr *nicbarrier.Trace, seed uint64) (string, error) {
-				res, err := nicbarrier.MeasureWorkload(xp(32, tr, seed),
-					nicbarrier.WorkloadSpec{
-						Tenants: 8, OpsPerTenant: 40,
-						BarrierWeight: 2, BroadcastWeight: 1, AllreduceWeight: 1,
-						Arrival: nicbarrier.ClosedLoop, MeanGapMicros: 10,
-					})
-				if err != nil {
-					return "", err
-				}
-				return wlSummary(res), nil
-			},
-		},
-		{
-			name: "churn-live",
-			desc: "tenants arrive, install through admission, reconfigure, depart",
-			kind: "churn",
-			run: func(tr *nicbarrier.Trace, seed uint64) (string, error) {
-				res, err := nicbarrier.MeasureChurn(xp(16, tr, seed),
-					nicbarrier.ChurnSpec{
-						Tenants: 32, OpsPerTenant: 12,
-						MeanArrivalGapMicros: 30, MeanThinkMicros: 5,
-						ReconfigureEvery: 3,
-						Policy:           nicbarrier.AdmitQueue,
-					})
-				if err != nil {
-					return "", err
-				}
-				return fmt.Sprintf("%d/%d tenants completed, %d ops, %d queued installs",
-					res.Completed, res.Tenants, res.TotalOps, res.QueuedInstalls), nil
-			},
-		},
-		{
-			name: "lossy-chaos",
-			desc: "workload under burst loss, a healing partition and a slow NIC",
-			kind: "chaos",
-			run: func(tr *nicbarrier.Trace, seed uint64) (string, error) {
-				cfg := xp(32, tr, seed)
-				cfg.Faults = []nicbarrier.Fault{
-					nicbarrier.FaultBurstLoss(0.03, 3),
-					nicbarrier.FaultPartition(3, 7).Between(100, 400),
-					nicbarrier.FaultSlowNIC(5, 0.5),
-				}
-				res, err := nicbarrier.MeasureWorkload(cfg,
-					nicbarrier.WorkloadSpec{Tenants: 8, OpsPerTenant: 30})
-				if err != nil {
-					return "", err
-				}
-				return fmt.Sprintf("%d ops under faults, %d packets dropped",
-					res.TotalOps, res.DroppedPackets), nil
-			},
-		},
-	}
-}
 
 func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
@@ -157,35 +61,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	scens := scenarios()
 	if *listOnly {
-		for _, s := range scens {
-			fmt.Fprintf(stdout, "  %-18s [%s] %s\n", s.name, s.kind, s.desc)
-		}
+		catalog.List(stdout)
 		return 0
 	}
-	var picked []scenario
-	if *names == "all" {
-		picked = scens
-	} else {
-		for _, want := range strings.Split(*names, ",") {
-			want = strings.TrimSpace(want)
-			found := false
-			for _, s := range scens {
-				if s.name == want {
-					picked = append(picked, s)
-					found = true
-					break
-				}
-			}
-			if !found {
-				fmt.Fprintf(stderr, "simserve: unknown scenario %q (try -list)\n", want)
-				return 1
-			}
-		}
-	}
-	if len(picked) == 0 {
-		fmt.Fprintln(stderr, "simserve: no scenarios selected")
+	picked, err := catalog.Select(*names)
+	if err != nil {
+		fmt.Fprintf(stderr, "simserve: %v\n", err)
 		return 1
 	}
 	if *loop && *once {
@@ -204,6 +86,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	// Scenarios run sequentially on one goroutine: each gets its own
 	// Trace (so /snapshot?run= views are disjoint) with the metronome
 	// armed before any cluster exists.
+	warn := func(msg string) { fmt.Fprintf(stderr, "simserve: %s\n", msg) }
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -211,13 +94,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			for _, s := range picked {
 				tr := nicbarrier.NewTrace()
 				tr.SetMetronome(*metronome)
-				name := s.name
+				name := s.Name
 				if round > 0 {
-					name = fmt.Sprintf("%s#%d", s.name, round)
+					name = fmt.Sprintf("%s#%d", s.Name, round)
 				}
-				run := srv.Register(name, s.kind, tr.Tracer())
+				run := srv.Register(name, s.Kind, tr.Tracer())
 				fmt.Fprintf(stdout, "simserve: run %d %q starting\n", run.ID, name)
-				summary, err := s.run(tr, *seed+uint64(round))
+				runSeed := *seed + uint64(round)
+				summary, err := s.Run(catalog.Overrides{Seed: &runSeed, Trace: tr}, io.Discard, warn)
 				run.Finish(summary, err)
 				if err != nil {
 					fmt.Fprintf(stderr, "simserve: run %d %q failed: %v\n", run.ID, name, err)

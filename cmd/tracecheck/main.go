@@ -1,9 +1,9 @@
 // Command tracecheck validates the observability layer's export
 // formats. Its default mode checks Chrome trace-event JSON files
-// produced by the -trace flags of barrier-bench, tenantbench and
-// groupchurn: each file must be a JSON object with a traceEvents array
-// whose events carry the fields chrome://tracing requires (phase, pid,
-// and per-phase timing fields). With -snapshot it instead validates
+// produced by the -trace flags of barrier-bench and simrun: each file
+// must be a JSON object with a traceEvents array whose events carry the
+// fields chrome://tracing requires (phase, pid, and per-phase timing
+// fields). With -snapshot it instead validates
 // schema-versioned metric snapshots as served by the metrics service's
 // /snapshot endpoint (cmd/simserve): schema version, epoch accounting,
 // drop-reason totals, histogram-bin consistency and quantile ordering.

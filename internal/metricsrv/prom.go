@@ -65,8 +65,17 @@ func WritePrometheus(w io.Writer, runs []*Run) {
 func writeRunMetrics(w io.Writer, run *Run) {
 	snap := run.snap()
 	rl := fmt.Sprintf(`run="%s"`, promEscape(run.Name))
+	// Clusters of one shape in one run (a barrier entry's clean and
+	// faulted runs) share a scope name; repeats are numbered "#2", "#3"
+	// so every series stays unique.
+	seen := map[string]int{}
 	for _, sc := range snap.Scopes {
-		sl := fmt.Sprintf(`%s,scope="%s"`, rl, promEscape(sc.Name))
+		seen[sc.Name]++
+		name := sc.Name
+		if n := seen[sc.Name]; n > 1 {
+			name = fmt.Sprintf("%s#%d", sc.Name, n)
+		}
+		sl := fmt.Sprintf(`%s,scope="%s"`, rl, promEscape(name))
 		fmt.Fprintf(w, "nicbarrier_snapshot_epoch{%s} %d\n", sl, sc.Epoch)
 		fmt.Fprintf(w, "nicbarrier_snapshot_at_us{%s} %g\n", sl, sc.AtUS)
 		fmt.Fprintf(w, "nicbarrier_events_fired_total{%s} %d\n", sl, sc.EventsFired)
