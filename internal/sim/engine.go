@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -14,14 +15,15 @@ type Event interface {
 	Fire()
 }
 
-// entry is one scheduled occurrence, stored by value in the engine's
-// queue. It holds no pointers: the callback lives in the entry's slot,
-// which never moves, so sifting copies plain words (no GC write
-// barrier) and the collector never scans the queue.
+// entry is the queue record of one scheduled occurrence. Entries live
+// in a table indexed by slot (the slot holds the callback and backs the
+// Timer), so an entry never moves while it is queued. It holds no
+// pointers: relinking it writes plain words (no GC write barrier) and
+// the collector never scans the queue.
 type entry struct {
 	at   Time
 	seq  uint64 // tie-breaker: FIFO among events at the same instant
-	slot int32  // slot holding the callback and backing the Timer
+	next int32  // slot of the next entry in the same bucket, -1 at the tail
 }
 
 // before orders entries by (at, seq) — the engine's total event order.
@@ -58,20 +60,43 @@ type slot struct {
 // for lazy removal; compacting tiny queues is churn for no benefit.
 const compactMin = 64
 
+// minBuckets is the smallest calendar: the queue never shrinks below
+// it, and the first Schedule grows an empty engine to it.
+const minBuckets = 2
+
+// widthSamples is how many event gaps a resize needs to measure the
+// bucket width (Brown's calendar queue samples 25 events).
+const widthSamples = 25
+
+// bucket is one day of the calendar: a list of entries linked through
+// entry.next, sorted by (at, seq). An empty bucket has head == -1.
+type bucket struct{ head, tail int32 }
+
 // Engine is the discrete-event simulation core. The zero value is not
 // usable; construct with NewEngine. An Engine (and everything scheduled
 // on it) belongs to a single goroutine.
 //
-// The queue is a value-typed 4-ary min-heap of pointer-free
-// (at, seq, slot) entries; callbacks are kept in a slot table with a
-// free list, and the slot doubles as the Timer handle. Steady-state
-// scheduling performs no heap allocation (the backing arrays are
-// reused), sifts move no pointers, Cancel is O(1) (entries are marked
-// through their slot and skipped when they surface), and the queue
-// compacts itself when cancelled entries outnumber live ones.
+// The queue is a calendar queue (Brown, CACM 1988): a power-of-two ring
+// of buckets, each 2^shift ns of virtual time wide and holding its
+// entries in a (at, seq)-sorted list linked by slot index. An event at
+// time t belongs to day t>>shift, stored in bucket day mod len(buckets);
+// a ring turn is a "year". Popping scans forward from the cursor day to
+// the first bucket whose head falls in the day being scanned, so
+// schedule and pop are O(1) when the width matches the spacing of the
+// events; a full fruitless turn (everything is a year or more ahead)
+// ends in the earliest bucket head it passed. The ring doubles when the
+// queue holds more than two entries per bucket and halves below one per
+// four, and every resize re-derives the width from the spacing of the
+// events (see resize); a ring whose size holds steady is resized in
+// place when a stale width makes it waste work (see popFirst).
+// Callbacks are kept in a slot table with a free list, and the slot
+// doubles as the Timer handle. Steady-state scheduling performs no heap
+// allocation (the tables are reused, and a resize relinks entries in
+// place), Cancel is O(1) (entries are marked through their slot and
+// skipped when they surface), and the queue compacts itself when
+// cancelled entries outnumber live ones.
 type Engine struct {
 	now     Time
-	queue   []entry
 	seq     uint64
 	stopped bool
 	// executed counts events that have run; useful as a progress and
@@ -85,11 +110,57 @@ type Engine struct {
 	live int
 	// cancelled counts cancelled entries still occupying the queue.
 	cancelled int
-	slots     []slot
-	freeSlot  int32 // head of the slot free list, -1 when empty
+	// size counts queued entries, cancelled ones included.
+	size     int
+	slots    []slot
+	entries  []entry // indexed by slot, like slots
+	freeSlot int32   // head of the slot free list, -1 when empty
+	buckets  []bucket
+	shift    uint // bucket width is 1<<shift ns
+	// cur is the day the pop scan stands on. Every queued entry's day
+	// is >= cur: a Schedule earlier than cur rewinds it, because NextAt
+	// may have advanced it past Now.
+	cur uint64
+	// mark and markAt are executed and now when resize last measured
+	// the event separation.
+	mark   uint64
+	markAt Time
+	// wasted counts the empty buckets the pop scan stepped over and the
+	// entries inserts walked past since the last resize.
+	wasted int
+	stats  QueueStats
 	// obs, when non-nil, is notified of every event firing and
 	// cancellation. The disabled cost is one nil check per event.
 	obs EventObserver
+}
+
+// QueueStats are host-side counters of the event queue's own work.
+// They describe how the simulator ran, not what it simulated: no
+// simulated logic reads them, and two engines that fire the same
+// events report the same simulated results whatever these say.
+type QueueStats struct {
+	// PendingMax is the high-water mark of Pending.
+	PendingMax int
+	// Compactions counts sweeps that removed cancelled entries because
+	// they outnumbered live ones.
+	Compactions uint64
+	// Grows and Shrinks count calendar resizes (the bucket count
+	// doubling and halving); Rewidths counts same-size resizes that
+	// re-measured the bucket width because pops and inserts were
+	// wasting work on it (see popFirst).
+	Grows, Shrinks, Rewidths uint64
+	// Buckets is the current bucket count.
+	Buckets int
+	// BucketWidth is the current width of one bucket in virtual time.
+	BucketWidth Duration
+}
+
+// QueueStats reports the queue counters.
+func (e *Engine) QueueStats() QueueStats {
+	s := e.stats
+	s.Buckets = len(e.buckets)
+	s.BucketWidth = Duration(1) << e.shift
+	return s
 }
 
 // EventObserver receives engine-level notifications: one call per
@@ -139,69 +210,204 @@ func (e *Engine) flushExecuted() {
 	}
 }
 
-// --- 4-ary min-heap over entries ---
-//
-// Arity 4 halves the tree depth of the binary heap: sift-up does fewer
-// comparisons per level and the four children of a node share a cache
-// line of entries, which is where a discrete-event queue spends its
-// time.
+// --- calendar queue over entries ---
 
-func (e *Engine) push(en entry) {
-	e.queue = append(e.queue, en)
-	e.siftUp(len(e.queue) - 1)
-}
-
-func (e *Engine) siftUp(i int) {
-	en := e.queue[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !en.before(e.queue[p]) {
-			break
+// push queues the entry of slot s, growing the calendar first when it
+// is full.
+func (e *Engine) push(s int32) {
+	if e.size >= 2*len(e.buckets) {
+		if len(e.buckets) > 0 {
+			e.stats.Grows++
 		}
-		e.queue[i] = e.queue[p]
-		i = p
+		e.resize(max(2*len(e.buckets), minBuckets))
 	}
-	e.queue[i] = en
+	e.link(s)
+	e.size++
 }
 
-func (e *Engine) siftDown(i int) {
-	n := len(e.queue)
-	en := e.queue[i]
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
+// link inserts the entry of slot s into its bucket. A new event is the
+// newest seq, so it almost always goes after the bucket's tail; only an
+// event earlier than the tail walks the list.
+func (e *Engine) link(s int32) {
+	en := &e.entries[s]
+	day := uint64(en.at) >> e.shift
+	// An empty queue's cursor is stale; an event before the cursor's
+	// day (NextAt may have moved it past Now) rewinds it.
+	if e.size == 0 || day < e.cur {
+		e.cur = day
+	}
+	b := &e.buckets[day&uint64(len(e.buckets)-1)]
+	switch {
+	case b.head < 0:
+		en.next = -1
+		b.head, b.tail = s, s
+	case !en.before(e.entries[b.tail]):
+		en.next = -1
+		e.entries[b.tail].next = s
+		b.tail = s
+	case en.before(e.entries[b.head]):
+		en.next = b.head
+		b.head = s
+	default:
+		p := b.head
+		for e.entries[e.entries[p].next].before(*en) {
+			p = e.entries[p].next
+			e.wasted++
 		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if e.queue[j].before(e.queue[m]) {
-				m = j
+		en.next = e.entries[p].next
+		e.entries[p].next = s
+	}
+}
+
+// first returns the slot of the minimum queued entry, or -1 when the
+// queue is empty, leaving the cursor on its day.
+func (e *Engine) first() int32 {
+	if e.size == 0 {
+		return -1
+	}
+	mask := uint64(len(e.buckets) - 1)
+	m := int32(-1) // earliest head passed, for a fruitless turn
+	for start := e.cur; e.cur-start < uint64(len(e.buckets)); e.cur++ {
+		if h := e.buckets[e.cur&mask].head; h >= 0 {
+			if uint64(e.entries[h].at)>>e.shift == e.cur {
+				e.wasted += int(e.cur - start)
+				return h
+			}
+			if m < 0 || e.entries[h].before(e.entries[m]) {
+				m = h
 			}
 		}
-		if !e.queue[m].before(en) {
-			break
-		}
-		e.queue[i] = e.queue[m]
-		i = m
 	}
-	e.queue[i] = en
+	// A fruitless turn: every entry is at least a year ahead, and m,
+	// the earliest bucket head, is the minimum.
+	e.wasted += len(e.buckets)
+	e.cur = uint64(e.entries[m].at) >> e.shift
+	return m
 }
 
-// popMin removes and returns the minimum entry.
-func (e *Engine) popMin() entry {
-	min := e.queue[0]
-	n := len(e.queue) - 1
-	last := e.queue[n]
-	e.queue = e.queue[:n]
-	if n > 0 {
-		e.queue[0] = last
-		e.siftDown(0)
+// popFirst unlinks s, which first just returned, and shrinks the
+// calendar when it has become mostly empty. It also re-measures the
+// width when the queue has been wasting work on it: more than four
+// empty buckets scanned and entries walked past per event fired since
+// the last measurement (twice what a fitting width costs: about one
+// empty bucket per pop and one entry walked per insert), and more in
+// all than a resize costs. A queue whose size holds steady never
+// resizes, so without this a width fitted to one phase of a run (a
+// burst of ties at time zero) would stay through every later one.
+func (e *Engine) popFirst(s int32) {
+	b := &e.buckets[e.cur&uint64(len(e.buckets)-1)]
+	if b.head = e.entries[s].next; b.head < 0 {
+		b.tail = -1
 	}
-	return min
+	e.size--
+	switch fired := e.executed - e.mark; {
+	case len(e.buckets) > minBuckets && e.size < len(e.buckets)/4:
+		e.stats.Shrinks++
+		e.resize(len(e.buckets) / 2)
+	case e.wasted > e.size+len(e.buckets) && uint64(e.wasted) > 4*fired && fired >= widthSamples:
+		e.stats.Rewidths++
+		e.resize(len(e.buckets))
+	}
+}
+
+// resize rebuilds the calendar with nb buckets, dropping cancelled
+// entries on the way. It chains the live entries through their next
+// links, visiting the buckets from the cursor's onwards, which is time
+// order within a year, and links them back into the new ring, so a
+// resize is O(entries + buckets), mostly tail appends, and needs no
+// buffer.
+//
+// It also re-derives the bucket width: the power of two above three
+// times the mean separation of events, so that a bucket near the front
+// holds about three events and a pop rarely scans an empty one. The
+// separation is measured on the events fired since it was last
+// measured: virtual time elapsed over events fired, ties included. The
+// queue's contents alone mislead in bursty runs: right after a burst
+// the earliest entries are that burst, far closer together than the
+// stream that follows, and a width fitted to them turns most pops into
+// fruitless turns. Far-future timers need no exclusion here, since they
+// count only once they fire, as one gap. Before widthSamples events
+// have fired (a burst scheduled before anything runs), the separation
+// is Brown's: the mean gap between the earliest queued events,
+// recomputed without the gaps over twice the mean. In between, when
+// fewer than widthSamples events fired since the last measurement, the
+// width stays.
+func (e *Engine) resize(nb int) {
+	chain, last := int32(-1), int32(-1)
+	mask := uint64(len(e.buckets) - 1)
+	for i := range uint64(len(e.buckets)) {
+		for s := e.buckets[(e.cur+i)&mask].head; s >= 0; s = e.entries[s].next {
+			switch {
+			case e.slots[s].state == slotCancelled:
+				e.cancelled--
+				e.releaseSlot(s)
+			case last < 0:
+				chain, last = s, s
+			default:
+				e.entries[last].next = s
+				last = s
+			}
+		}
+	}
+	if last >= 0 {
+		e.entries[last].next = -1
+	}
+	if fired := e.executed - e.mark; fired >= widthSamples {
+		e.shift = uint(bits.Len64(uint64(3 * (e.now - e.markAt) / Time(fired))))
+		e.mark, e.markAt = e.executed, e.now
+	} else if e.executed < widthSamples {
+		e.brownWidth(chain)
+	}
+	if cap(e.buckets) >= nb {
+		e.buckets = e.buckets[:nb]
+	} else {
+		e.buckets = make([]bucket, nb)
+	}
+	for i := range e.buckets {
+		e.buckets[i] = bucket{-1, -1}
+	}
+	e.size = 0
+	for s := chain; s >= 0; {
+		next := e.entries[s].next
+		e.link(s)
+		e.size++
+		s = next
+	}
+	e.wasted = 0
+}
+
+// brownWidth sets the width from the earliest widthSamples+1 entries of
+// the chain, gathered in a sorted array on the stack.
+func (e *Engine) brownWidth(chain int32) {
+	var early [widthSamples + 1]Time
+	n := 0
+	for s := chain; s >= 0; s = e.entries[s].next {
+		at := e.entries[s].at
+		if n == len(early) {
+			if at >= early[n-1] {
+				continue
+			}
+			n--
+		}
+		i := n
+		for ; i > 0 && early[i-1] > at; i-- {
+			early[i] = early[i-1]
+		}
+		early[i] = at
+		n++
+	}
+	if n < 2 {
+		return
+	}
+	mean := (early[n-1] - early[0]) / Time(n-1)
+	var sum, gaps Time
+	for i := 1; i < n; i++ {
+		if g := early[i] - early[i-1]; g <= 2*mean {
+			sum += g
+			gaps++
+		}
+	}
+	e.shift = uint(bits.Len64(uint64(3 * sum / gaps)))
 }
 
 // --- Timer handle slots ---
@@ -213,6 +419,7 @@ func (e *Engine) acquireSlot() int32 {
 		return s
 	}
 	e.slots = append(e.slots, slot{state: slotLive})
+	e.entries = append(e.entries, entry{})
 	return int32(len(e.slots) - 1)
 }
 
@@ -256,9 +463,13 @@ func (e *Engine) schedule(at Time, fn func(), ev Event) Timer {
 	s := e.acquireSlot()
 	sl := &e.slots[s]
 	sl.fn, sl.ev = fn, ev
-	e.push(entry{at: at, seq: e.seq, slot: s})
+	e.entries[s] = entry{at: at, seq: e.seq}
+	e.push(s)
 	e.seq++
 	e.live++
+	if e.live > e.stats.PendingMax {
+		e.stats.PendingMax = e.live
+	}
 	return Timer{eng: e, slot: s, gen: e.slots[s].gen}
 }
 
@@ -280,23 +491,28 @@ func (e *Engine) AfterEvent(d Duration, ev Event) Timer {
 
 // Step executes the single next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		en := e.popMin()
-		if e.slots[en.slot].state == slotCancelled {
+	for {
+		s := e.first()
+		if s < 0 {
+			return false
+		}
+		e.popFirst(s)
+		if e.slots[s].state == slotCancelled {
 			e.cancelled--
-			e.releaseSlot(en.slot)
+			e.releaseSlot(s)
 			continue
 		}
 		// Read the callback first: releasing clears the slot, which
 		// the callback may then reuse.
-		sl := &e.slots[en.slot]
+		sl := &e.slots[s]
 		fn, ev := sl.fn, sl.ev
-		e.releaseSlot(en.slot)
-		e.now = en.at
+		at := e.entries[s].at
+		e.releaseSlot(s)
+		e.now = at
 		e.executed++
 		e.live--
 		if e.obs != nil {
-			e.obs.EventFired(en.at)
+			e.obs.EventFired(at)
 		}
 		if fn != nil {
 			fn()
@@ -305,7 +521,6 @@ func (e *Engine) Step() bool {
 		}
 		return true
 	}
-	return false
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -323,12 +538,12 @@ func (e *Engine) RunUntil(deadline Time) bool {
 	defer e.flushExecuted()
 	e.stopped = false
 	for !e.stopped {
-		en, ok := e.peek()
+		at, ok := e.NextAt()
 		if !ok {
 			e.now = maxTime(e.now, deadline)
 			return true
 		}
-		if en.at > deadline {
+		if at > deadline {
 			e.now = deadline
 			return false
 		}
@@ -366,45 +581,17 @@ func (e *Engine) Stop() { e.stopped = true }
 // earliest pending event instead of stepping fixed windows through
 // idle virtual time.
 func (e *Engine) NextAt() (Time, bool) {
-	en, ok := e.peek()
-	return en.at, ok
-}
-
-// peek returns the next live entry without firing it, lazily discarding
-// cancelled entries that have surfaced at the queue head.
-func (e *Engine) peek() (entry, bool) {
-	for len(e.queue) > 0 {
-		if e.slots[e.queue[0].slot].state == slotCancelled {
-			en := e.popMin()
-			e.cancelled--
-			e.releaseSlot(en.slot)
-			continue
+	for {
+		s := e.first()
+		if s < 0 {
+			return 0, false
 		}
-		return e.queue[0], true
-	}
-	return entry{}, false
-}
-
-// compact removes every cancelled entry from the queue in one O(n)
-// rebuild. Without it, a workload that schedules and cancels many
-// timers (retransmission timers under heavy loss) would grow the queue
-// unboundedly until the dead entries' timestamps surfaced.
-func (e *Engine) compact() {
-	kept := e.queue[:0]
-	for _, en := range e.queue {
-		if e.slots[en.slot].state == slotCancelled {
-			e.cancelled--
-			e.releaseSlot(en.slot)
-			continue
+		if e.slots[s].state != slotCancelled {
+			return e.entries[s].at, true
 		}
-		kept = append(kept, en)
-	}
-	e.queue = kept
-	// Floyd heapify: restore the 4-ary heap property bottom-up.
-	if n := len(e.queue); n > 1 {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			e.siftDown(i)
-		}
+		e.popFirst(s)
+		e.cancelled--
+		e.releaseSlot(s)
 	}
 }
 
@@ -447,8 +634,11 @@ func (t Timer) Cancel() bool {
 	if e.obs != nil {
 		e.obs.EventCancelled(e.now)
 	}
-	if len(e.queue) >= compactMin && e.cancelled > len(e.queue)/2 {
-		e.compact()
+	if e.size >= compactMin && e.cancelled > e.size/2 {
+		// A same-size resize is the compaction: it drops every
+		// cancelled entry.
+		e.stats.Compactions++
+		e.resize(len(e.buckets))
 	}
 	return true
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -47,6 +48,39 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 		if v != i {
 			t.Fatalf("same-instant events reordered: pos %d got %d", i, v)
 		}
+	}
+}
+
+// Every calendar resize re-sorts the queue, so ties must keep their
+// FIFO order through the growth from 2 to 2,048 buckets, a compaction
+// and the shrinks of the drain.
+func TestEngineFIFOAcrossResizes(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	var timers []Timer
+	for i := 0; i < 4096; i++ {
+		i := i
+		timers = append(timers, e.Schedule(Time(i*7%64), func() { order = append(order, i) }))
+	}
+	for i, timer := range timers {
+		if i%3 != 0 {
+			timer.Cancel()
+		}
+	}
+	e.Run()
+	if st := e.QueueStats(); st.Compactions == 0 || st.Grows < 10 || st.Shrinks < 10 {
+		t.Fatalf("queue stats %+v: the run must grow, compact and shrink", st)
+	}
+	want := make([]int, 0, len(order))
+	for at := 0; at < 64; at++ {
+		for i := 0; i < len(timers); i++ {
+			if i*7%64 == at && i%3 == 0 {
+				want = append(want, i)
+			}
+		}
+	}
+	if !slices.Equal(order, want) {
+		t.Fatal("ties reordered across a resize")
 	}
 }
 
@@ -170,8 +204,8 @@ func TestTimerSlotReuseAfterCancel(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("pending = %d after cancelling everything", e.Pending())
 	}
-	if len(e.queue) >= compactMin {
-		t.Fatalf("queue holds %d entries after mass cancellation; compaction did not run", len(e.queue))
+	if e.size >= compactMin {
+		t.Fatalf("queue holds %d entries after mass cancellation; compaction did not run", e.size)
 	}
 	if len(e.slots) > 2*compactMin {
 		t.Fatalf("slot table grew to %d for a schedule/cancel loop", len(e.slots))
@@ -332,8 +366,8 @@ func hasPointers(t reflect.Type) bool {
 }
 
 // The queue entry must stay pointer-free: a pointer field would put
-// every sift move back under the GC write barrier and make the
-// collector scan the whole queue.
+// every relink back under the GC write barrier and make the collector
+// scan the whole queue.
 func TestEntryIsPointerFree(t *testing.T) {
 	typ := reflect.TypeOf(entry{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -343,6 +377,100 @@ func TestEntryIsPointerFree(t *testing.T) {
 	}
 	if !hasPointers(reflect.TypeOf(slot{})) {
 		t.Error("hasPointers misses the callback fields of slot")
+	}
+}
+
+// NextAt leaves the calendar's cursor on the day of the event it found,
+// which can lie past Now; the shard runner then delivers a token that
+// schedules an earlier event. That Schedule must rewind the cursor, or
+// the scan would fire the later event first and move the clock back.
+func TestScheduleBeforeNextAtRewinds(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	record := func() { fired = append(fired, e.Now()) }
+	for i := 0; i < 40; i++ {
+		e.Schedule(Time(i), record)
+	}
+	e.Schedule(10_000, record)
+	e.RunUntil(50)
+	if at, ok := e.NextAt(); !ok || at != 10_000 {
+		t.Fatalf("NextAt = %v,%v, want 10000", at, ok)
+	}
+	if early := uint64(e.Now()+1) >> e.shift; e.cur <= early {
+		t.Fatalf("cursor on day %d, not past Now+1's day %d: the setup no longer tests the rewind", e.cur, early)
+	}
+	e.Schedule(e.Now()+1, record)
+	checkQueue(t, e)
+	e.Run()
+	if n := len(fired); n != 42 || fired[40] != 51 || fired[41] != 10_000 {
+		t.Fatalf("fired %v, want 0..39, 51, 10000", fired)
+	}
+}
+
+// The bucket width is the power of two above three times the mean
+// event separation: before anything has fired, Brown's, over the
+// earliest queued events with the far-future gap left out; after, that
+// of the events fired since the last measurement.
+func TestBucketWidth(t *testing.T) {
+	fn := func() {}
+	e := NewEngine()
+	e.Schedule(10_000_000, fn)
+	for at := Time(24_000); at >= 10_000; at -= 1000 { // 16 entries, latest first
+		e.Schedule(at, fn)
+	}
+	if w := e.QueueStats().BucketWidth; w != 4096 {
+		t.Fatalf("width %v from 1000 ns gaps and one far timer, want 4096 ns", w)
+	}
+
+	e = NewEngine()
+	ticks := 0
+	var tick func()
+	tick = func() {
+		if ticks++; ticks < 100 {
+			e.After(100, tick)
+		}
+	}
+	e.After(100, tick)
+	e.Run()
+	for i := 0; i < 5; i++ { // the fifth grows the ring: a resize
+		e.After(Duration(i), fn)
+	}
+	if w := e.QueueStats().BucketWidth; w != 512 {
+		t.Fatalf("width %v after 100 events 100 ns apart, want 512 ns", w)
+	}
+}
+
+// A queue whose size holds steady never resizes, so a width fitted to
+// a burst of ties at time zero would stay when the run settles into
+// events far apart. The wasted work must force a re-measurement: empty
+// buckets scanned when the events are closer than a year (1–1.5 ms
+// delays over 4,096 pending, about 120 ns apart against a 2 µs year),
+// fruitless turns when they are farther (50–150 ms, about 24 µs).
+func TestWidthFollowsRegimeChange(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		lo, spread    Duration
+		minWidth, max Duration
+	}{
+		{"scanned buckets", Millisecond, Millisecond / 2, 64, 2 * Microsecond},
+		{"fruitless turns", 50 * Millisecond, 100 * Millisecond, Microsecond, Millisecond},
+	} {
+		e := NewEngine()
+		fn := func() {}
+		rng := NewRNG(3)
+		for i := 0; i < 4096; i++ {
+			e.After(0, fn)
+		}
+		if w := e.QueueStats().BucketWidth; w != 1 {
+			t.Fatalf("%s: width %v after a burst of ties, want 1 ns", c.name, w)
+		}
+		for i := 0; i < 3*4096; i++ { // hold: fire one, schedule one
+			e.Step()
+			e.After(c.lo+Duration(rng.Intn(int(c.spread))), fn)
+		}
+		if st := e.QueueStats(); st.Rewidths == 0 || st.BucketWidth < c.minWidth || st.BucketWidth > c.max {
+			t.Fatalf("%s: queue stats %+v, want a re-measured width in [%v, %v]", c.name, st, c.minWidth, c.max)
+		}
 	}
 }
 
