@@ -7,7 +7,6 @@ import (
 	"nicbarrier/internal/comm"
 	"nicbarrier/internal/elan"
 	"nicbarrier/internal/harness"
-	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/myrinet"
 	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/sim"
@@ -108,26 +107,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // shard 0 is the primary and keeps the historical trace-scope name, so
 // single-partition traces are unchanged.
 func newCommCluster(cfg Config, shard int) (*comm.Cluster, error) {
-	eng := sim.NewEngine()
-	var cc *comm.Cluster
-	switch cfg.Interconnect {
-	case MyrinetLANai91, MyrinetLANaiXP:
-		var loss netsim.LossModel
-		if cfg.LossRate > 0 {
-			loss = &netsim.RandomLoss{Rate: cfg.LossRate, RNG: sim.NewRNG(cfg.Seed + 1)}
-		}
-		cl := myrinet.NewCluster(eng, myrinetProfile(cfg.Interconnect), cfg.Nodes, loss)
-		applyMyrinetFaults(cfg, cl)
-		cc = comm.OverMyrinet(cl)
-	case QuadricsElan3:
-		cl := elan.NewCluster(eng, hwprofile.Elan3Cluster(), cfg.Nodes)
-		if plan := compileFaults(cfg.Faults, cfg.Seed, cl.Prof.Net.BandwidthMBps); plan != nil {
-			cl.SetFaults(plan)
-		}
-		cc = comm.OverElan(cl)
-	default:
-		return nil, fmt.Errorf("nicbarrier: unknown interconnect %d", int(cfg.Interconnect))
+	prof, err := profileOf(cfg.Interconnect)
+	if err != nil {
+		return nil, err
 	}
+	var loss netsim.LossModel
+	if cfg.LossRate > 0 {
+		loss = &netsim.RandomLoss{Rate: cfg.LossRate, RNG: sim.NewRNG(cfg.Seed + 1)}
+	}
+	faults := compileFaults(cfg.Faults, cfg.Seed, prof.Wire().BandwidthMBps)
+	cc := comm.NewCluster(sim.NewEngine(), prof, cfg.Nodes, loss, faults)
 	cc.SetAdmission(cfg.Admission.internal())
 	if cfg.Trace != nil {
 		name := fmt.Sprintf("%v %dn %v", cfg.Interconnect, cfg.Nodes, cfg.Scheme)
@@ -135,7 +124,7 @@ func newCommCluster(cfg Config, shard int) (*comm.Cluster, error) {
 			name = fmt.Sprintf("%s/shard%d", name, shard)
 		}
 		sc := cfg.Trace.newScope(name)
-		eng.SetObserver(sc)
+		cc.Eng.SetObserver(sc)
 		cc.SetTracer(sc)
 	}
 	return cc, nil
@@ -402,7 +391,7 @@ func runnable(cg *comm.Group) error {
 // the slots it waits for — so callers error out before reaching here
 // (see runnable).
 func (c *Cluster) measure(cg *comm.Group, warmup, iters int) Result {
-	c0 := c.counters()
+	c0 := c.c.WireStats()
 	t0 := c.c.Eng.Now()
 	cg.Reset()
 	doneAt := cg.Run(warmup + iters)
@@ -415,45 +404,20 @@ func (c *Cluster) measure(cg *comm.Group, warmup, iters int) Result {
 		doneAt = shifted
 	}
 	st := harness.LatencyStats(doneAt, warmup)
-	c1 := c.counters()
-	dropped := c1.dropped - c0.dropped
-	midRoute := c1.hopDropped - c0.hopDropped
+	c1 := c.c.WireStats()
+	dropped := c1.Dropped - c0.Dropped
+	midRoute := c1.HopDropped - c0.HopDropped
 	return Result{
 		MeanMicros: st.MeanUS, MinMicros: st.MinUS, MaxMicros: st.MaxUS,
 		StdMicros: st.StdUS, Iterations: st.Iterations,
-		PacketsPerBarrier: float64(c1.sent-c0.sent) / float64(warmup+iters),
-		Retransmissions:   c1.retrans - c0.retrans,
+		PacketsPerBarrier: float64(c1.Sent-c0.Sent) / float64(warmup+iters),
+		Retransmissions:   c1.Retransmits - c0.Retransmits,
 		DroppedPackets:    dropped,
 		Drops: DropBreakdown{
 			Injected: dropped - midRoute,
 			MidRoute: midRoute,
-			Rejected: c1.rejected - c0.rejected,
-			Stale:    c1.stale - c0.stale,
+			Rejected: c1.Rejected - c0.Rejected,
+			Stale:    c1.Stale - c0.Stale,
 		},
-	}
-}
-
-// wireSnapshot is one moment's cluster-wide wire and recovery
-// accounting; measure works on deltas between two of them.
-type wireSnapshot struct {
-	sent, dropped, hopDropped, rejected, retrans, stale uint64
-}
-
-// counters snapshots the cluster-wide wire and recovery accounting.
-func (c *Cluster) counters() wireSnapshot {
-	if my := c.c.My; my != nil {
-		net := my.Net.Counters()
-		nic := my.Stats()
-		return wireSnapshot{
-			sent: net.Sent, dropped: net.Dropped,
-			hopDropped: net.HopDropped, rejected: net.Rejected,
-			retrans: nic.Retransmits + nic.CollResent, stale: nic.StaleColl,
-		}
-	}
-	net := c.c.El.Net.Counters()
-	return wireSnapshot{
-		sent: net.Sent, dropped: net.Dropped,
-		hopDropped: net.HopDropped, rejected: net.Rejected,
-		stale: c.c.El.Stats().StaleRDMAs,
 	}
 }

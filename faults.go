@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nicbarrier/internal/fault"
+	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/sim"
 )
 
@@ -201,7 +202,7 @@ func ValidateFaults(faults []Fault) []string {
 // compileFaults builds the stateful fault.Plan for one measurement run.
 // lineRateMBps patches throttle faults that were declared without
 // knowledge of the interconnect.
-func compileFaults(faults []Fault, seed uint64, lineRateMBps float64) *fault.Plan {
+func compileFaults(faults []Fault, seed uint64, lineRateMBps float64) netsim.Impairment {
 	if len(faults) == 0 {
 		return nil
 	}

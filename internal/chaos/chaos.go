@@ -52,6 +52,10 @@ func (b Backend) String() string {
 	}
 }
 
+// profiles maps each Backend to the testbed it soaks; comm.NewCluster
+// picks the interconnect from the profile.
+var profiles = map[Backend]hwprofile.Profile{Myrinet: hwprofile.LANaiXPCluster(), Elan: hwprofile.Elan3Cluster()}
+
 // Spec parameterizes one soak run. The zero value is not runnable; use
 // the documented defaults via fields left zero where noted.
 type Spec struct {
@@ -196,23 +200,13 @@ func Soak(spec Spec) (Report, error) {
 	}
 	sort.Ints(rep.CrashTargets)
 
-	eng := sim.NewEngine()
-	var c *comm.Cluster
-	var slotCap int
-	switch spec.Backend {
-	case Myrinet:
-		my := myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), spec.Nodes, nil)
-		my.SetFaults(fault.NewPlan(spec.Seed^0xfa17, sc.rules...))
-		slotCap = my.Prof.NIC.GroupQueueSlots
-		c = comm.OverMyrinet(my)
-	case Elan:
-		el := elan.NewCluster(eng, hwprofile.Elan3Cluster(), spec.Nodes)
-		el.SetFaults(fault.NewPlan(spec.Seed^0xfa17, sc.rules...))
-		slotCap = el.Prof.NIC.ChainSlots
-		c = comm.OverElan(el)
-	default:
+	prof, ok := profiles[spec.Backend]
+	if !ok {
 		return Report{}, fmt.Errorf("chaos: unknown backend %v", spec.Backend)
 	}
+	eng := sim.NewEngine()
+	c := comm.NewCluster(eng, prof, spec.Nodes, nil, fault.NewPlan(spec.Seed^0xfa17, sc.rules...))
+	slotCap := c.SlotsFree(0) // every slot is free before the first install
 
 	rec := comm.RecoveryConfig{
 		OpDeadline:     sim.Micros(2000),

@@ -5,6 +5,7 @@ import (
 
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/elan"
+	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/myrinet"
 	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/obs"
@@ -29,8 +30,8 @@ type backend interface {
 	bind(gc GroupConfig, gid core.GroupID) (session, *core.Loop, error)
 	// setTracer attaches an observability scope to the network and NICs.
 	setTracer(sc *obs.Scope)
-	// network is the simulated wire, for its packet counters.
-	network() *netsim.Network
+	// wireStats snapshots the wire and recovery accounting.
+	wireStats() WireStats
 	// sendHeartbeat emits one liveness probe from fromNode to dstNode.
 	sendHeartbeat(gid core.GroupID, fromNode, fromRank, dstNode int)
 }
@@ -41,8 +42,9 @@ type backend interface {
 // goroutines.
 type Cluster struct {
 	Eng *sim.Engine
-	// My and El expose the interconnect underneath for callers that read
-	// its counters or inject faults; exactly one is set.
+	// My and El expose the interconnect underneath for backend tests and
+	// per-backend counters (WireStats is the neutral snapshot); exactly
+	// one is set.
 	My *myrinet.Cluster
 	El *elan.Cluster
 
@@ -60,6 +62,43 @@ type Cluster struct {
 	// recovery that owns each group ID; nil until the first SetRecovery
 	// (see recovery.go).
 	hbRoute map[core.GroupID]*recovery
+}
+
+// NewCluster builds an n-node cluster on eng from prof and layers a
+// communicator over it. It is the one place a hardware profile selects
+// an interconnect: a MyrinetProfile builds Myrinet, a QuadricsProfile
+// Quadrics. loss (nil: none) drops packets on the wire and faults (nil:
+// none) impairs the network; Quadrics links are reliable in hardware,
+// so it ignores loss and passes only the delay-type fault effects.
+func NewCluster(eng *sim.Engine, prof hwprofile.Profile, n int, loss netsim.LossModel, faults netsim.Impairment) *Cluster {
+	switch p := prof.(type) {
+	case hwprofile.MyrinetProfile:
+		cl := myrinet.NewCluster(eng, p, n, loss)
+		cl.SetFaults(faults)
+		return OverMyrinet(cl)
+	case hwprofile.QuadricsProfile:
+		cl := elan.NewCluster(eng, p, n)
+		cl.SetFaults(faults)
+		return OverElan(cl)
+	}
+	panic(fmt.Sprintf("comm: no backend for hardware profile %T", prof))
+}
+
+// WireStats is one moment's cluster-wide wire and recovery accounting;
+// callers measure by differencing two snapshots.
+type WireStats struct {
+	Sent, Dropped, HopDropped, Rejected uint64 // network packets (see netsim.Counters)
+	Retransmits                         uint64 // NIC resends of lost traffic; Quadrics never resends
+	Stale                               uint64 // late or duplicate collective arrivals NICs discarded
+}
+
+// WireStats snapshots the cluster's wire and recovery accounting.
+func (c *Cluster) WireStats() WireStats { return c.be.wireStats() }
+
+// netStats fills a snapshot's network counters.
+func netStats(net *netsim.Network) WireStats {
+	n := net.Counters()
+	return WireStats{Sent: n.Sent, Dropped: n.Dropped, HopDropped: n.HopDropped, Rejected: n.Rejected}
 }
 
 // OverMyrinet builds a communicator layer over a Myrinet cluster. Its
@@ -138,7 +177,11 @@ func (b myrinetBackend) bind(gc GroupConfig, gid core.GroupID) (session, *core.L
 
 func (b myrinetBackend) setTracer(sc *obs.Scope) { b.cl.SetTracer(sc) }
 
-func (b myrinetBackend) network() *netsim.Network { return b.cl.Net }
+func (b myrinetBackend) wireStats() WireStats {
+	st, nic := netStats(b.cl.Net), b.cl.Stats()
+	st.Retransmits, st.Stale = nic.Retransmits+nic.CollResent, nic.StaleColl
+	return st
+}
 
 func (b myrinetBackend) sendHeartbeat(gid core.GroupID, fromNode, fromRank, dstNode int) {
 	b.cl.Nodes[fromNode].NIC.SendHeartbeat(gid, fromRank, dstNode)
@@ -176,7 +219,11 @@ func (b elanBackend) bind(gc GroupConfig, gid core.GroupID) (session, *core.Loop
 
 func (b elanBackend) setTracer(sc *obs.Scope) { b.cl.SetTracer(sc) }
 
-func (b elanBackend) network() *netsim.Network { return b.cl.Net }
+func (b elanBackend) wireStats() WireStats {
+	st := netStats(b.cl.Net)
+	st.Stale = b.cl.Stats().StaleRDMAs
+	return st
+}
 
 func (b elanBackend) sendHeartbeat(gid core.GroupID, fromNode, fromRank, dstNode int) {
 	b.cl.Nodes[fromNode].NIC.SendHeartbeat(gid, fromRank, dstNode)

@@ -17,9 +17,11 @@
 // error, queue until a departure frees them, or re-place the group on
 // members with capacity (see AdmissionConfig).
 //
-// backend.go is the only file that names an interconnect: one adapter
-// per backend carries its policy (slots, op kinds, recovery) and
-// plumbing (session binding, tracing, counters, heartbeats).
+// backend.go is the only file that names an interconnect. NewCluster
+// is the one way the layers above (harness, shard, chaos, the facade)
+// build a cluster: the hardware profile's type selects the backend. One
+// adapter per backend carries its policy (slots, op kinds, recovery)
+// and plumbing (session binding, tracing, wire counters, heartbeats).
 //
 // On top, workload.go generates open- and closed-loop streams of
 // collective operations from N tenants (RunWorkload) and churns whole
@@ -39,6 +41,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
@@ -284,17 +287,43 @@ func (g *Group) QueueWaitUS() float64 { return g.queueWaitUS }
 // (and identical virtual-time behavior) to the one-shot measurement
 // sessions it wraps.
 func (g *Group) Run(iters int) []sim.Time {
+	g.exclusive("Run")
+	return g.run.Run(iters)
+}
+
+// MeanLatency runs warmup+iters operations exclusively (see Run) and
+// reports the mean latency of the measured ones, as the paper's
+// measurement loop does.
+func (g *Group) MeanLatency(warmup, iters int) sim.Duration {
+	g.exclusive("MeanLatency")
+	return g.run.MeanLatency(warmup, iters)
+}
+
+// RunSkewed runs one operation exclusively, its ranks entering after the
+// given per-rank delays, and reports the time from the LAST entry to
+// global completion: the cost on the critical path of the last process.
+func (g *Group) RunSkewed(skew []sim.Duration) sim.Duration {
+	g.exclusive("RunSkewed")
+	g.run.LaunchSkewed(skew)
+	if !g.c.Eng.RunCondition(g.run.Done) {
+		panic(fmt.Sprintf("comm: skewed operation on group %d deadlocked", g.ID))
+	}
+	return g.run.DoneAt()[0].Sub(sim.Time(0).Add(slices.Max(skew)))
+}
+
+// exclusive checks that op may drive the engine for this group alone
+// and marks the group launched.
+func (g *Group) exclusive(op string) {
 	if g.closed {
-		panic("comm: Run on a closed group")
+		panic("comm: " + op + " on a closed group")
 	}
 	if g.sess == nil {
-		panic("comm: Run on a queued group (drive the cluster until it installs)")
+		panic("comm: " + op + " on a queued group (drive the cluster until it installs)")
 	}
 	if g.rec != nil {
-		panic("comm: Run on a recovery-enabled group (use RunDeadline)")
+		panic("comm: " + op + " on a recovery-enabled group (use RunDeadline)")
 	}
 	g.launched = true
-	return g.run.Run(iters)
 }
 
 // Launch posts the group's first operation without driving the engine;

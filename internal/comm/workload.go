@@ -480,7 +480,7 @@ func collectWorkload(c *Cluster, spec WorkloadSpec, plans []tenantPlan,
 	if sumTputSq > 0 {
 		res.Fairness = sumTput * sumTput / (float64(len(groups)) * sumTputSq)
 	}
-	net := c.be.network().Counters()
+	net := c.be.wireStats()
 	res.Sent, res.Dropped = net.Sent, net.Dropped
 	if c.tr != nil {
 		res.Decomp = c.tr.Decomp()
@@ -859,7 +859,7 @@ func runChurnPlans(c *Cluster, spec ChurnSpec, tenants []*churnTenant) (churnOut
 	out.lastDepart = lastDepart
 	out.st = c.AdmissionStats()
 	out.pre, out.post = preLat, postLat
-	net := c.be.network().Counters()
+	net := c.be.wireStats()
 	out.sent, out.dropped = net.Sent, net.Dropped
 	return out, nil
 }

@@ -138,7 +138,10 @@ func TestHWBarrierSkewRetries(t *testing.T) {
 	for i := range skew {
 		skew[i] = sim.Duration(i) * 3 * HWSyncLimit
 	}
-	s.RunSkewed(skew)
+	s.LaunchSkewed(skew)
+	if !eng.RunCondition(s.Done) {
+		t.Fatal("skewed hardware barrier deadlocked")
+	}
 	if cl.hw.Retries() == 0 {
 		t.Fatal("no retries recorded despite heavy skew")
 	}

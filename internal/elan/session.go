@@ -2,11 +2,9 @@ package elan
 
 import (
 	"fmt"
-	"slices"
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
-	"nicbarrier/internal/sim"
 )
 
 // Scheme selects a Quadrics barrier implementation.
@@ -200,22 +198,6 @@ func (s *Session) ChargeInstall() {
 	for i := range s.members {
 		s.members[i].node.NIC.ChargeChainInstall(s.gid)
 	}
-}
-
-// RunSkewed runs a single barrier whose members enter with the given
-// per-rank offsets and reports the time from the LAST entry to global
-// completion — the cost visible to the last process, which is what an
-// application's critical path sees. The paper's point about elan_hgsync
-// ("it requires that the involving processes be well synchronized...
-// hardly the case for parallel programs over large size clusters") shows
-// up here as test-and-set retries once the skew exceeds the sync window,
-// while the NIC-based barrier simply buffers early notifications.
-func (s *Session) RunSkewed(skew []sim.Duration) sim.Duration {
-	s.LaunchSkewed(skew)
-	if !s.cl.Eng.RunCondition(s.Done) {
-		panic(fmt.Sprintf("elan: skewed %s barrier deadlocked", s.scheme))
-	}
-	return s.DoneAt()[0].Sub(sim.Time(0).Add(slices.Max(skew)))
 }
 
 // start posts absolute barrier #seq on rank's node; the core.Loop calls

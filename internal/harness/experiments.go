@@ -4,43 +4,68 @@ import (
 	"fmt"
 
 	"nicbarrier/internal/barrier"
+	"nicbarrier/internal/comm"
 	"nicbarrier/internal/elan"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/model"
 	"nicbarrier/internal/myrinet"
+	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/sim"
 )
 
-// MeasureMyrinet runs one Myrinet data point: an n-rank barrier session
-// on a clusterSize-node cluster with the given scheme and algorithm.
-func MeasureMyrinet(cfg Config, prof hwprofile.MyrinetProfile, clusterSize, n int,
-	scheme myrinet.Scheme, alg barrier.Algorithm) float64 {
-	eng := sim.NewEngine()
-	cl := myrinet.NewCluster(eng, prof, clusterSize, nil)
-	if cfg.Trace != nil {
-		sc := cfg.Trace.NewScope(fmt.Sprintf("myrinet %dn/%d %v %v", clusterSize, n, scheme, alg))
-		eng.SetObserver(sc)
-		cl.SetTracer(sc)
-	}
-	ids := permutedIDs(cfg, clusterSize, n, uint64(scheme)<<8|uint64(alg))
-	s := myrinet.NewSession(cl, ids, scheme, alg, barrier.Options{})
-	warmup, iters := cfg.itersFor(n)
-	return s.MeanLatency(warmup, iters).Micros()
+// BarrierPoint is one barrier data point: an N-rank group running
+// Group's scheme and algorithm on a Size-node cluster built from Prof,
+// its network impaired by Faults (nil: none). Salt seeds the rank
+// permutation (each call site keeps its own); Scope names the trace
+// scope.
+type BarrierPoint struct {
+	Prof    hwprofile.Profile
+	Size, N int
+	Group   comm.GroupConfig
+	Salt    uint64
+	Faults  netsim.Impairment
+	Scope   string
 }
 
-// MeasureElan runs one Quadrics data point.
-func MeasureElan(cfg Config, clusterSize, n int, scheme elan.Scheme, alg barrier.Algorithm) float64 {
-	eng := sim.NewEngine()
-	cl := elan.NewCluster(eng, hwprofile.Elan3Cluster(), clusterSize)
+// MyrinetPoint describes a Myrinet barrier point.
+func MyrinetPoint(prof hwprofile.MyrinetProfile, size, n int, scheme myrinet.Scheme, alg barrier.Algorithm) BarrierPoint {
+	return BarrierPoint{Prof: prof, Size: size, N: n,
+		Group: comm.GroupConfig{Algorithm: alg, MyrinetScheme: scheme},
+		Salt:  uint64(scheme)<<8 | uint64(alg),
+		Scope: fmt.Sprintf("myrinet %dn/%d %v %v", size, n, scheme, alg)}
+}
+
+// ElanPoint describes a Quadrics barrier point.
+func ElanPoint(size, n int, scheme elan.Scheme, alg barrier.Algorithm) BarrierPoint {
+	return BarrierPoint{Prof: hwprofile.Elan3Cluster(), Size: size, N: n,
+		Group: comm.GroupConfig{Algorithm: alg, ElanScheme: scheme},
+		Salt:  0x9000 | uint64(scheme)<<8 | uint64(alg),
+		Scope: fmt.Sprintf("elan %dn/%d %v %v", size, n, scheme, alg)}
+}
+
+// build makes the point's cluster and installs its group, tracing both
+// when cfg.Trace is set.
+func (p BarrierPoint) build(cfg Config) (*comm.Cluster, *comm.Group) {
+	c := comm.NewCluster(sim.NewEngine(), p.Prof, p.Size, nil, p.Faults)
 	if cfg.Trace != nil {
-		sc := cfg.Trace.NewScope(fmt.Sprintf("elan %dn/%d %v %v", clusterSize, n, scheme, alg))
-		eng.SetObserver(sc)
-		cl.SetTracer(sc)
+		sc := cfg.Trace.NewScope(p.Scope)
+		c.Eng.SetObserver(sc)
+		c.SetTracer(sc)
 	}
-	ids := permutedIDs(cfg, clusterSize, n, 0x9000|uint64(scheme)<<8|uint64(alg))
-	s := elan.NewSession(cl, ids, scheme, alg, barrier.Options{})
-	warmup, iters := cfg.itersFor(n)
-	return s.MeanLatency(warmup, iters).Micros()
+	gc := p.Group
+	gc.Members = permutedIDs(cfg, p.Size, p.N, p.Salt)
+	g, err := c.NewGroup(gc)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %s: %v", p.Scope, err))
+	}
+	return c, g
+}
+
+// MeasureBarrier runs the point's warmup+iters consecutive barriers and
+// reports the mean latency of the measured ones in microseconds.
+func MeasureBarrier(cfg Config, p BarrierPoint) float64 {
+	_, g := p.build(cfg)
+	return g.MeanLatency(cfg.itersFor(p.N)).Micros()
 }
 
 func rangeInts(from, to int) []int {
@@ -67,7 +92,7 @@ func Fig5(cfg Config) Figure {
 	ns := rangeInts(2, size)
 	mk := func(scheme myrinet.Scheme, alg barrier.Algorithm) Measure {
 		return func(n int) float64 {
-			return MeasureMyrinet(cfg, prof, size, n, scheme, alg)
+			return MeasureBarrier(cfg, MyrinetPoint(prof, size, n, scheme, alg))
 		}
 	}
 	return Figure{
@@ -93,7 +118,7 @@ func Fig6(cfg Config) Figure {
 	ns := rangeInts(2, size)
 	mk := func(scheme myrinet.Scheme, alg barrier.Algorithm) Measure {
 		return func(n int) float64 {
-			return MeasureMyrinet(cfg, prof, size, n, scheme, alg)
+			return MeasureBarrier(cfg, MyrinetPoint(prof, size, n, scheme, alg))
 		}
 	}
 	return Figure{
@@ -117,7 +142,9 @@ func Fig7(cfg Config) Figure {
 	const size = 8
 	ns := rangeInts(2, size)
 	mkChained := func(alg barrier.Algorithm) Measure {
-		return func(n int) float64 { return MeasureElan(cfg, size, n, elan.SchemeChained, alg) }
+		return func(n int) float64 {
+			return MeasureBarrier(cfg, ElanPoint(size, n, elan.SchemeChained, alg))
+		}
 	}
 	return Figure{
 		ID:     "fig7",
@@ -128,10 +155,10 @@ func Fig7(cfg Config) Figure {
 			sweep(cfg, "NIC-Barrier-DS", ns, mkChained(barrier.Dissemination)),
 			sweep(cfg, "NIC-Barrier-PE", ns, mkChained(barrier.PairwiseExchange)),
 			sweep(cfg, "Elan-Barrier", ns, func(n int) float64 {
-				return MeasureElan(cfg, size, n, elan.SchemeGsync, barrier.GatherBroadcast)
+				return MeasureBarrier(cfg, ElanPoint(size, n, elan.SchemeGsync, barrier.GatherBroadcast))
 			}),
 			sweep(cfg, "Elan-HW-Barrier", ns, func(n int) float64 {
-				return MeasureElan(cfg, size, n, elan.SchemeHW, barrier.Dissemination)
+				return MeasureBarrier(cfg, ElanPoint(size, n, elan.SchemeHW, barrier.Dissemination))
 			}),
 		},
 		Notes: []string{
@@ -192,7 +219,7 @@ func fig8(cfg Config, id, title string, paper model.Model, measure Measure) Figu
 func Fig8a(cfg Config) Figure {
 	return fig8(cfg, "fig8a", "Barrier scalability over 700MHz Quadrics-Elan3 cluster",
 		model.PaperQuadrics(), func(n int) float64 {
-			return MeasureElan(cfg, n, n, elan.SchemeChained, barrier.Dissemination)
+			return MeasureBarrier(cfg, ElanPoint(n, n, elan.SchemeChained, barrier.Dissemination))
 		})
 }
 
@@ -201,7 +228,7 @@ func Fig8b(cfg Config) Figure {
 	prof := hwprofile.LANaiXPCluster()
 	return fig8(cfg, "fig8b", "Barrier scalability over 2.4GHz Myrinet LANai-XP cluster",
 		model.PaperMyrinetXP(), func(n int) float64 {
-			return MeasureMyrinet(cfg, prof, n, n, myrinet.SchemeCollective, barrier.Dissemination)
+			return MeasureBarrier(cfg, MyrinetPoint(prof, n, n, myrinet.SchemeCollective, barrier.Dissemination))
 		})
 }
 
@@ -215,7 +242,7 @@ func Ablation(cfg Config) Figure {
 	ns91 := rangeInts(2, 16)
 	mk := func(prof hwprofile.MyrinetProfile, size int, scheme myrinet.Scheme) Measure {
 		return func(n int) float64 {
-			return MeasureMyrinet(cfg, prof, size, n, scheme, barrier.Dissemination)
+			return MeasureBarrier(cfg, MyrinetPoint(prof, size, n, scheme, barrier.Dissemination))
 		}
 	}
 	return Figure{
@@ -246,17 +273,13 @@ func Packets(cfg Config) Figure {
 	const size = 16
 	count := func(scheme myrinet.Scheme) Measure {
 		return func(n int) float64 {
-			eng := sim.NewEngine()
-			cl := myrinet.NewCluster(eng, prof, size, nil)
-			ids := permutedIDs(cfg, size, n, 0x7000|uint64(scheme))
-			s := myrinet.NewSession(cl, ids, scheme, barrier.Dissemination, barrier.Options{})
+			p := MyrinetPoint(prof, size, n, scheme, barrier.Dissemination)
+			p.Salt = 0x7000 | uint64(scheme)
+			c, g := p.build(cfg)
 			const iters = 10
-			s.Run(iters)
-			eng.Run() // drain trailing ACKs
-			c := cl.Net.Counters()
-			pkts := c.ByKind["barrier-coll"] + c.ByKind["barrier-direct"] +
-				c.ByKind["ack"] + c.ByKind["barrier-nack"]
-			return float64(pkts) / iters
+			g.Run(iters)
+			c.Eng.Run() // drain trailing ACKs
+			return float64(c.WireStats().Sent) / iters
 		}
 	}
 	ns := []int{2, 4, 8, 16}
@@ -285,15 +308,14 @@ func Skew(cfg Config) Figure {
 	spansUS := []int{0, 10, 20, 40, 80, 160, 320}
 	run := func(scheme elan.Scheme) Measure {
 		return func(spanUS int) float64 {
-			eng := sim.NewEngine()
-			cl := elan.NewCluster(eng, hwprofile.Elan3Cluster(), size)
-			ids := permutedIDs(cfg, size, size, 0x5e00|uint64(scheme))
-			s := elan.NewSession(cl, ids, scheme, barrier.Dissemination, barrier.Options{})
+			p := ElanPoint(size, size, scheme, barrier.Dissemination)
+			p.Salt = 0x5e00 | uint64(scheme)
+			_, g := p.build(cfg)
 			skew := make([]sim.Duration, size)
 			for r := range skew {
 				skew[r] = sim.Micros(float64(spanUS) * float64(r) / float64(size-1))
 			}
-			return s.RunSkewed(skew).Micros()
+			return g.RunSkewed(skew).Micros()
 		}
 	}
 	return Figure{

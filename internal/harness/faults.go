@@ -38,35 +38,28 @@ func faultSeed(cfg Config, salt uint64) uint64 {
 	return cfg.Seed ^ 0xfa17<<32 ^ salt
 }
 
-// MeasureMyrinetFaulted runs one Myrinet data point under a fault plan
-// built from rules (nil rules = fault-free).
-func MeasureMyrinetFaulted(cfg Config, prof hwprofile.MyrinetProfile, clusterSize, n int,
-	scheme myrinet.Scheme, alg barrier.Algorithm, rules []fault.Rule, salt uint64) float64 {
-	eng := sim.NewEngine()
-	cl := myrinet.NewCluster(eng, prof, clusterSize, nil)
+// faultPoint measures p under a fresh plan of rules (none: fault-free)
+// seeded by salt, its ranks placed with the family's salt tag.
+func faultPoint(cfg Config, p BarrierPoint, tag uint64, rules []fault.Rule, salt uint64) float64 {
+	p.Salt |= tag
 	if len(rules) > 0 {
-		cl.SetFaults(fault.NewPlan(faultSeed(cfg, salt), rules...))
+		p.Faults = fault.NewPlan(faultSeed(cfg, salt), rules...)
 	}
-	ids := permutedIDs(cfg, clusterSize, n, 0xf000|uint64(scheme)<<8|uint64(alg))
-	s := myrinet.NewSession(cl, ids, scheme, alg, barrier.Options{})
-	warmup, iters := cfg.itersFor(n)
-	return s.MeanLatency(warmup, iters).Micros()
+	return MeasureBarrier(cfg, p)
 }
 
-// MeasureElanFaulted runs one Quadrics data point under a fault plan built
-// from rules. The Elan substrate strips loss-type effects (hardware
-// reliability), so loss-only rule sets leave the latency untouched.
-func MeasureElanFaulted(cfg Config, clusterSize, n int,
-	scheme elan.Scheme, alg barrier.Algorithm, rules []fault.Rule, salt uint64) float64 {
-	eng := sim.NewEngine()
-	cl := elan.NewCluster(eng, hwprofile.Elan3Cluster(), clusterSize)
-	if len(rules) > 0 {
-		cl.SetFaults(fault.NewPlan(faultSeed(cfg, salt), rules...))
-	}
-	ids := permutedIDs(cfg, clusterSize, n, 0xf900|uint64(scheme)<<8|uint64(alg))
-	s := elan.NewSession(cl, ids, scheme, alg, barrier.Options{})
-	warmup, iters := cfg.itersFor(n)
-	return s.MeanLatency(warmup, iters).Micros()
+// myrinetFaulted and quadricsFaulted are the family's 16-node points:
+// the NIC collective barrier on LANai-XP, the chained-RDMA barrier on
+// Elan3. Quadrics strips loss-type effects (hardware reliability), so
+// loss-only rule sets leave its latency untouched.
+func myrinetFaulted(cfg Config, alg barrier.Algorithm, rules []fault.Rule, salt uint64) float64 {
+	p := MyrinetPoint(hwprofile.LANaiXPCluster(), 16, 16, myrinet.SchemeCollective, alg)
+	return faultPoint(cfg, p, 0xf000, rules, salt)
+}
+
+func quadricsFaulted(cfg Config, rules []fault.Rule, salt uint64) float64 {
+	p := ElanPoint(16, 16, elan.SchemeChained, barrier.Dissemination)
+	return faultPoint(cfg, p, 0xf900, rules, salt)
 }
 
 // FaultLossSweep sweeps random loss rate (percent) at a fixed cluster
@@ -75,7 +68,6 @@ func MeasureElanFaulted(cfg Config, clusterSize, n int,
 // timeout), while Quadrics' hardware reliability makes its curve exactly
 // flat under a loss-only plan.
 func FaultLossSweep(cfg Config) Figure {
-	prof := hwprofile.LANaiXPCluster()
 	const size = 16
 	rates := []int{0, 1, 2, 5, 10, 20}
 	rulesFor := func(pct int) []fault.Rule {
@@ -86,13 +78,11 @@ func FaultLossSweep(cfg Config) Figure {
 	}
 	myri := func(alg barrier.Algorithm) Measure {
 		return func(pct int) float64 {
-			return MeasureMyrinetFaulted(cfg, prof, size, size,
-				myrinet.SchemeCollective, alg, rulesFor(pct), uint64(pct))
+			return myrinetFaulted(cfg, alg, rulesFor(pct), uint64(pct))
 		}
 	}
 	quad := func(pct int) float64 {
-		return MeasureElanFaulted(cfg, size, size,
-			elan.SchemeChained, barrier.Dissemination, rulesFor(pct), uint64(pct))
+		return quadricsFaulted(cfg, rulesFor(pct), uint64(pct))
 	}
 	return Figure{
 		ID:     "faults",
@@ -117,7 +107,6 @@ func FaultLossSweep(cfg Config) Figure {
 // fewer barriers, so each recovery round re-requests more messages at
 // once.
 func FaultBurstSweep(cfg Config) Figure {
-	prof := hwprofile.LANaiXPCluster()
 	const size = 16
 	const lossRate = 0.05
 	bursts := []int{1, 2, 4, 8, 16}
@@ -131,12 +120,10 @@ func FaultBurstSweep(cfg Config) Figure {
 		YLabel: "Latency",
 		Series: []Series{
 			sweep(cfg, "Myrinet-DS", bursts, func(b int) float64 {
-				return MeasureMyrinetFaulted(cfg, prof, size, size,
-					myrinet.SchemeCollective, barrier.Dissemination, rulesFor(b), uint64(b))
+				return myrinetFaulted(cfg, barrier.Dissemination, rulesFor(b), uint64(b))
 			}),
 			sweep(cfg, "Quadrics-DS", bursts, func(b int) float64 {
-				return MeasureElanFaulted(cfg, size, size,
-					elan.SchemeChained, barrier.Dissemination, rulesFor(b), uint64(b))
+				return quadricsFaulted(cfg, rulesFor(b), uint64(b))
 			}),
 		},
 		Notes: []string{
@@ -151,7 +138,6 @@ func FaultBurstSweep(cfg Config) Figure {
 // reliability does not protect Quadrics from a slow network, only from a
 // lossy one).
 func FaultJitterSweep(cfg Config) Figure {
-	prof := hwprofile.LANaiXPCluster()
 	const size = 16
 	jitters := []int{0, 2, 5, 10, 20}
 	rulesFor := func(us int) []fault.Rule {
@@ -167,12 +153,10 @@ func FaultJitterSweep(cfg Config) Figure {
 		YLabel: "Latency",
 		Series: []Series{
 			sweep(cfg, "Myrinet-DS", jitters, func(us int) float64 {
-				return MeasureMyrinetFaulted(cfg, prof, size, size,
-					myrinet.SchemeCollective, barrier.Dissemination, rulesFor(us), uint64(us))
+				return myrinetFaulted(cfg, barrier.Dissemination, rulesFor(us), uint64(us))
 			}),
 			sweep(cfg, "Quadrics-DS", jitters, func(us int) float64 {
-				return MeasureElanFaulted(cfg, size, size,
-					elan.SchemeChained, barrier.Dissemination, rulesFor(us), uint64(us))
+				return quadricsFaulted(cfg, rulesFor(us), uint64(us))
 			}),
 		},
 		Notes: []string{

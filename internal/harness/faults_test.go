@@ -63,8 +63,8 @@ func TestFaultedMeasurementsAreDeterministic(t *testing.T) {
 	rules := []fault.Rule{fault.BurstLoss(0.05, 4)}
 	prof := hwprofile.LANaiXPCluster()
 	measure := func(salt uint64) float64 {
-		return MeasureMyrinetFaulted(cfg, prof, 8, 8,
-			myrinet.SchemeCollective, barrier.Dissemination, rules, salt)
+		p := MyrinetPoint(prof, 8, 8, myrinet.SchemeCollective, barrier.Dissemination)
+		return faultPoint(cfg, p, 0xf000, rules, salt)
 	}
 	a := measure(1)
 	b := measure(1)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"nicbarrier/internal/obs"
 	"nicbarrier/internal/sim"
 )
 
@@ -277,6 +278,30 @@ func TestFig8FitQuality(t *testing.T) {
 		}
 		if pct > 12 {
 			t.Errorf("%s: fit error %.1f%% too large", fig.ID, pct)
+		}
+	}
+}
+
+// Observation is free: a traced sweep runs every point on comm's traced
+// path (scopes on the engine, network, NICs and groups) and must report
+// exactly the untraced figures, on both interconnects.
+func TestTracingLeavesFiguresUnchanged(t *testing.T) {
+	for _, fig := range []func(Config) Figure{Fig7, Packets} {
+		plain := fig(tinyCfg())
+		cfg := tinyCfg()
+		cfg.Trace = obs.NewTracerSize(64)
+		traced := fig(cfg)
+		a, b := plain.ToPoints(), traced.ToPoints()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d points untraced, %d traced", plain.ID, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Errorf("%s: point %d untraced %+v, traced %+v", plain.ID, i, a[i], b[i])
+			}
+		}
+		if len(cfg.Trace.Snapshot().Scopes) == 0 {
+			t.Errorf("%s: tracing recorded no scopes", plain.ID)
 		}
 	}
 }

@@ -6,10 +6,10 @@ import (
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/comm"
-	"nicbarrier/internal/elan"
 	"nicbarrier/internal/fault"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/myrinet"
+	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/sim"
 )
 
@@ -50,18 +50,12 @@ func churnSpecFor(cfg Config, tenants int) comm.ChurnSpec {
 	}
 }
 
-// MeasureChurnPoint runs one churn data point on the named backend.
-func MeasureChurnPoint(cfg Config, quadrics bool, tenants int) comm.ChurnResult {
-	eng := sim.NewEngine()
-	var c *comm.Cluster
-	if quadrics {
-		c = comm.OverElan(elan.NewCluster(eng, hwprofile.Elan3Cluster(), churnClusterNodes))
-	} else {
-		c = comm.OverMyrinet(myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), churnClusterNodes, nil))
-	}
+// MeasureChurnPoint runs one churn data point on prof's testbed.
+func MeasureChurnPoint(cfg Config, prof hwprofile.Profile, tenants int) comm.ChurnResult {
+	c := comm.NewCluster(sim.NewEngine(), prof, churnClusterNodes, nil, nil)
 	res, err := comm.RunChurn(c, churnSpecFor(cfg, tenants))
 	if err != nil {
-		panic(fmt.Sprintf("harness: churn point (quadrics=%v, T=%d): %v", quadrics, tenants, err))
+		panic(fmt.Sprintf("harness: churn point (%T, T=%d): %v", prof, tenants, err))
 	}
 	return res
 }
@@ -74,17 +68,17 @@ func MeasureChurnPoint(cfg Config, quadrics bool, tenants int) comm.ChurnResult 
 func GroupChurn(cfg Config) Figure {
 	tenants := []int{8, 16, 32}
 	type point struct{ kops, waitP95 float64 }
-	measure := func(quadrics bool) []point {
+	measure := func(prof hwprofile.Profile) []point {
 		pts := make([]point, len(tenants))
 		run := func(i int) {
-			res := MeasureChurnPoint(cfg, quadrics, tenants[i])
+			res := MeasureChurnPoint(cfg, prof, tenants[i])
 			pts[i] = point{kops: res.AggOpsPerSec / 1e3, waitP95: res.QueueWaitP95US}
 		}
 		forEach(cfg, len(tenants), run)
 		return pts
 	}
-	myri := measure(false)
-	quad := measure(true)
+	myri := measure(hwprofile.LANaiXPCluster())
+	quad := measure(hwprofile.Elan3Cluster())
 	series := func(name, unit string, pts []point, val func(point) float64) Series {
 		s := Series{Name: name, Unit: unit}
 		for i, p := range pts {
@@ -116,14 +110,8 @@ func GroupChurn(cfg Config) Figure {
 // swap cost is the gap from the last pre-swap completion to the first
 // post-swap completion (uninstall + install charges + the first barrier
 // on cold NICs), reported next to the steady per-barrier latency.
-func MeasureReconfigure(cfg Config, quadrics bool, n int) (swapUS, steadyUS float64) {
-	eng := sim.NewEngine()
-	var c *comm.Cluster
-	if quadrics {
-		c = comm.OverElan(elan.NewCluster(eng, hwprofile.Elan3Cluster(), 2*n))
-	} else {
-		c = comm.OverMyrinet(myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), 2*n, nil))
-	}
+func MeasureReconfigure(cfg Config, prof hwprofile.Profile, n int) (swapUS, steadyUS float64) {
+	c := comm.NewCluster(sim.NewEngine(), prof, 2*n, nil, nil)
 	c.SetAdmission(comm.AdmissionConfig{ChargeSetupCosts: true})
 	perm := permutedIDs(cfg, 2*n, 2*n, 0x9ec0|uint64(n))
 	g, err := c.NewGroup(comm.GroupConfig{
@@ -158,16 +146,16 @@ func MeasureReconfigure(cfg Config, quadrics bool, n int) (swapUS, steadyUS floa
 func ReconfigureCost(cfg Config) Figure {
 	sizes := []int{4, 8, 16}
 	type point struct{ swap, steady float64 }
-	measure := func(quadrics bool) []point {
+	measure := func(prof hwprofile.Profile) []point {
 		pts := make([]point, len(sizes))
 		forEach(cfg, len(sizes), func(i int) {
-			swap, steady := MeasureReconfigure(cfg, quadrics, sizes[i])
+			swap, steady := MeasureReconfigure(cfg, prof, sizes[i])
 			pts[i] = point{swap, steady}
 		})
 		return pts
 	}
-	myri := measure(false)
-	quad := measure(true)
+	myri := measure(hwprofile.LANaiXPCluster())
+	quad := measure(hwprofile.Elan3Cluster())
 	series := func(name string, pts []point, val func(point) float64) Series {
 		s := Series{Name: name}
 		for i, p := range pts {
@@ -207,15 +195,14 @@ type victimStats struct {
 // every-Nth drop scoped to the victim group (dropNth 0 = clean run) and
 // returns the victim's and the worst bystander's per-op latency stats.
 func MeasureVictimTenant(cfg Config, dropNth int) (victim, bystander victimStats) {
-	eng := sim.NewEngine()
-	cl := myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), 8, nil)
+	var plan netsim.Impairment
 	if dropNth > 0 {
 		rule := fault.DropEveryNth(dropNth)
 		rule.Match.Groups = fault.Groups(1) // the victim is the first group installed
 		rule.Match.Kinds = fault.Kinds("barrier-coll")
-		cl.SetFaults(fault.NewPlan(faultSeed(cfg, 0x71c<<8|uint64(dropNth)), rule))
+		plan = fault.NewPlan(faultSeed(cfg, 0x71c<<8|uint64(dropNth)), rule)
 	}
-	c := comm.OverMyrinet(cl)
+	c := comm.NewCluster(sim.NewEngine(), hwprofile.LANaiXPCluster(), 8, nil, plan)
 	mk := func(members ...int) *comm.Group {
 		g, err := c.NewGroup(comm.GroupConfig{
 			Members:       members,

@@ -6,7 +6,6 @@ import (
 
 	"nicbarrier/internal/comm"
 	"nicbarrier/internal/hwprofile"
-	"nicbarrier/internal/myrinet"
 	"nicbarrier/internal/shard"
 	"nicbarrier/internal/sim"
 )
@@ -95,8 +94,7 @@ func MeasurePartitionedTenants(cfg Config, parts int) (comm.WorkloadResult, part
 	tenants, nodes := partTenantScale(cfg)
 	cs := make([]*comm.Cluster, parts)
 	for s := range cs {
-		eng := sim.NewEngine()
-		cs[s] = comm.OverMyrinet(myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), nodes, nil))
+		cs[s] = comm.NewCluster(sim.NewEngine(), hwprofile.LANaiXPCluster(), nodes, nil, nil)
 	}
 	spec := comm.WorkloadSpec{
 		Tenants:      tenants,

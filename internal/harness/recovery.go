@@ -9,6 +9,7 @@ import (
 	"nicbarrier/internal/fault"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/myrinet"
+	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/sim"
 )
 
@@ -37,26 +38,12 @@ const recoveryOps = 10
 // n/2 permanently crashed, and reports the virtual-time makespan in
 // microseconds. Node IDs are identity-mapped (no permutation) because
 // the crash rule names a physical node.
-func measureRecoveryMakespan(cfg Config, onElan bool, n int, deadlineUS float64, crash bool, salt uint64) float64 {
-	eng := sim.NewEngine()
-	var plan *fault.Plan
+func measureRecoveryMakespan(cfg Config, prof hwprofile.Profile, n int, deadlineUS float64, crash bool, salt uint64) float64 {
+	var plan netsim.Impairment
 	if crash {
 		plan = fault.NewPlan(faultSeed(cfg, salt), fault.Crash(n/2, fault.Window{}))
 	}
-	var c *comm.Cluster
-	if onElan {
-		cl := elan.NewCluster(eng, hwprofile.Elan3Cluster(), n)
-		if plan != nil {
-			cl.SetFaults(plan)
-		}
-		c = comm.OverElan(cl)
-	} else {
-		cl := myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), n, nil)
-		if plan != nil {
-			cl.SetFaults(plan)
-		}
-		c = comm.OverMyrinet(cl)
-	}
+	c := comm.NewCluster(sim.NewEngine(), prof, n, nil, plan)
 	members := make([]int, n)
 	for i := range members {
 		members[i] = i
@@ -92,16 +79,14 @@ func measureRecoveryMakespan(cfg Config, onElan bool, n int, deadlineUS float64,
 func CrashRecovery(cfg Config) Figure {
 	ns := []int{8, 16, 32}
 	const deadlineUS = 1000.0
-	point := func(onElan, crash bool) Measure {
+	// tag is the backend's salt bit: 0 on Myrinet, 1 on Quadrics.
+	point := func(prof hwprofile.Profile, tag uint64, crash bool) Measure {
 		return func(n int) float64 {
-			salt := 0x4ec0<<16 | uint64(n)<<2
-			if onElan {
-				salt |= 1
-			}
+			salt := 0x4ec0<<16 | uint64(n)<<2 | tag
 			if crash {
 				salt |= 2
 			}
-			return measureRecoveryMakespan(cfg, onElan, n, deadlineUS, crash, salt)
+			return measureRecoveryMakespan(cfg, prof, n, deadlineUS, crash, salt)
 		}
 	}
 	return Figure{
@@ -110,10 +95,10 @@ func CrashRecovery(cfg Config) Figure {
 		XLabel: "Cluster size (nodes)",
 		YLabel: "Stream makespan",
 		Series: []Series{
-			sweep(cfg, "Myrinet-clean", ns, point(false, false)),
-			sweep(cfg, "Myrinet-crash", ns, point(false, true)),
-			sweep(cfg, "Quadrics-clean", ns, point(true, false)),
-			sweep(cfg, "Quadrics-crash", ns, point(true, true)),
+			sweep(cfg, "Myrinet-clean", ns, point(hwprofile.LANaiXPCluster(), 0, false)),
+			sweep(cfg, "Myrinet-crash", ns, point(hwprofile.LANaiXPCluster(), 0, true)),
+			sweep(cfg, "Quadrics-clean", ns, point(hwprofile.Elan3Cluster(), 1, false)),
+			sweep(cfg, "Quadrics-crash", ns, point(hwprofile.Elan3Cluster(), 1, true)),
 		},
 		Notes: []string{
 			"a permanent fail-stop crash would hang either backend forever without the deadline;",
@@ -130,13 +115,10 @@ func CrashRecovery(cfg Config) Figure {
 func RecoveryDeadlineSweep(cfg Config) Figure {
 	const size = 16
 	deadlines := []int{500, 1000, 2000, 4000}
-	point := func(onElan bool) Measure {
+	point := func(prof hwprofile.Profile, tag uint64) Measure {
 		return func(us int) float64 {
-			salt := 0x4ec1<<16 | uint64(us)<<1
-			if onElan {
-				salt |= 1
-			}
-			return measureRecoveryMakespan(cfg, onElan, size, float64(us), true, salt)
+			salt := 0x4ec1<<16 | uint64(us)<<1 | tag
+			return measureRecoveryMakespan(cfg, prof, size, float64(us), true, salt)
 		}
 	}
 	return Figure{
@@ -145,8 +127,8 @@ func RecoveryDeadlineSweep(cfg Config) Figure {
 		XLabel: "Operation deadline (us)",
 		YLabel: "Stream makespan",
 		Series: []Series{
-			sweep(cfg, "Myrinet", deadlines, point(false)),
-			sweep(cfg, "Quadrics", deadlines, point(true)),
+			sweep(cfg, "Myrinet", deadlines, point(hwprofile.LANaiXPCluster(), 0)),
+			sweep(cfg, "Quadrics", deadlines, point(hwprofile.Elan3Cluster(), 1)),
 		},
 		Notes: []string{
 			"the first operation cannot fail before its deadline expires, so recovery",

@@ -62,15 +62,15 @@ func Summary(cfg Config) Table {
 	xp := hwprofile.LANaiXPCluster()
 	l9 := hwprofile.LANai91Cluster()
 
-	quadNIC := MeasureElan(cfg, 8, 8, elan.SchemeChained, barrier.Dissemination)
-	quadGsync := MeasureElan(cfg, 8, 8, elan.SchemeGsync, barrier.GatherBroadcast)
-	quadHW := MeasureElan(cfg, 8, 8, elan.SchemeHW, barrier.Dissemination)
+	quadNIC := MeasureBarrier(cfg, ElanPoint(8, 8, elan.SchemeChained, barrier.Dissemination))
+	quadGsync := MeasureBarrier(cfg, ElanPoint(8, 8, elan.SchemeGsync, barrier.GatherBroadcast))
+	quadHW := MeasureBarrier(cfg, ElanPoint(8, 8, elan.SchemeHW, barrier.Dissemination))
 
-	xpNIC := MeasureMyrinet(cfg, xp, 8, 8, myrinet.SchemeCollective, barrier.Dissemination)
-	xpHost := MeasureMyrinet(cfg, xp, 8, 8, myrinet.SchemeHost, barrier.Dissemination)
+	xpNIC := MeasureBarrier(cfg, MyrinetPoint(xp, 8, 8, myrinet.SchemeCollective, barrier.Dissemination))
+	xpHost := MeasureBarrier(cfg, MyrinetPoint(xp, 8, 8, myrinet.SchemeHost, barrier.Dissemination))
 
-	l9NIC := MeasureMyrinet(cfg, l9, 16, 16, myrinet.SchemeCollective, barrier.Dissemination)
-	l9Host := MeasureMyrinet(cfg, l9, 16, 16, myrinet.SchemeHost, barrier.Dissemination)
+	l9NIC := MeasureBarrier(cfg, MyrinetPoint(l9, 16, 16, myrinet.SchemeCollective, barrier.Dissemination))
+	l9Host := MeasureBarrier(cfg, MyrinetPoint(l9, 16, 16, myrinet.SchemeHost, barrier.Dissemination))
 
 	// Fit the scalability models from measured sweeps and extrapolate.
 	fitOver := func(measure Measure) model.Model {
@@ -87,10 +87,10 @@ func Summary(cfg Config) Table {
 		return m
 	}
 	quadModel := fitOver(func(n int) float64 {
-		return MeasureElan(cfg, n, n, elan.SchemeChained, barrier.Dissemination)
+		return MeasureBarrier(cfg, ElanPoint(n, n, elan.SchemeChained, barrier.Dissemination))
 	})
 	myriModel := fitOver(func(n int) float64 {
-		return MeasureMyrinet(cfg, xp, n, n, myrinet.SchemeCollective, barrier.Dissemination)
+		return MeasureBarrier(cfg, MyrinetPoint(xp, n, n, myrinet.SchemeCollective, barrier.Dissemination))
 	})
 
 	return Table{

@@ -5,7 +5,6 @@ import (
 
 	"nicbarrier/internal/comm"
 	"nicbarrier/internal/hwprofile"
-	"nicbarrier/internal/myrinet"
 	"nicbarrier/internal/sim"
 )
 
@@ -36,14 +35,13 @@ func tenantOps(cfg Config) int {
 // a 64-node LANai-XP cluster into even disjoint groups, every tenant
 // issuing back-to-back barriers over the NIC-collective protocol.
 func MeasureTenants(cfg Config, tenants int, spec comm.WorkloadSpec) comm.WorkloadResult {
-	eng := sim.NewEngine()
-	cl := myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), tenantClusterNodes, nil)
+	c := comm.NewCluster(sim.NewEngine(), hwprofile.LANaiXPCluster(), tenantClusterNodes, nil, nil)
 	spec.Tenants = tenants
 	if spec.OpsPerTenant == 0 {
 		spec.OpsPerTenant = tenantOps(cfg)
 	}
 	spec.Seed = cfg.Seed ^ 0x7e0a<<16 ^ uint64(tenants)
-	res, err := comm.RunWorkload(comm.OverMyrinet(cl), spec)
+	res, err := comm.RunWorkload(c, spec)
 	if err != nil {
 		panic(fmt.Sprintf("harness: multi-tenant point (T=%d): %v", tenants, err))
 	}

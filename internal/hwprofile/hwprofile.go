@@ -129,6 +129,20 @@ type ElanNIC struct {
 	HWBarrierPerLevel sim.Duration
 }
 
+// Profile is one testbed's hardware constants. Its concrete type is the
+// backend selector: comm.NewCluster builds a Myrinet cluster from a
+// MyrinetProfile and a Quadrics one from a QuadricsProfile.
+type Profile interface {
+	// Wire is the network's physical parameters.
+	Wire() netsim.Params
+}
+
+// Wire implements Profile.
+func (p MyrinetProfile) Wire() netsim.Params { return p.Net }
+
+// Wire implements Profile.
+func (p QuadricsProfile) Wire() netsim.Params { return p.Net }
+
 // MyrinetProfile bundles everything needed to instantiate one Myrinet
 // cluster node.
 type MyrinetProfile struct {

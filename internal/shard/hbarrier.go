@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nicbarrier/internal/barrier"
+	"nicbarrier/internal/comm"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/myrinet"
 	"nicbarrier/internal/sim"
@@ -49,21 +50,18 @@ type hierToken struct {
 	iter, round int
 }
 
-const (
-	hierGatherGID  = 1 // group ID of the intra-shard gather barrier
-	hierReleaseGID = 2 // group ID of the intra-shard release broadcast
-)
-
 // hierShard is one shard's slice of the hierarchical barrier: a
 // full-fidelity Myrinet sub-cluster running a NIC-collective gather
 // barrier and a NIC-based release broadcast, plus the dissemination
-// state machine that stitches shards together through the Runner.
+// state machine that stitches shards together through the Runner. The
+// two groups are comm groups 1 (gather) and 2 (release), IDs assigned
+// in creation order.
 type hierShard struct {
 	h      *hier
 	id     int
 	eng    *sim.Engine
-	gather *myrinet.Session
-	bcast  *myrinet.Session
+	gather *comm.Group
+	bcast  *comm.Group
 
 	iter    int      // iteration currently executing (== len(doneAt) completed)
 	state   int      // hierGathering | hierDissem | hierReleasing
@@ -220,24 +218,25 @@ func (h *hier) deriveLatencies() sim.Duration {
 
 func (h *hier) newShard(id int, eng *sim.Engine) *hierShard {
 	size := h.plan.Size(id)
-	cl := myrinet.NewCluster(eng, h.spec.Prof, size, nil)
+	c := comm.NewCluster(eng, h.spec.Prof, size, nil, nil)
 	ids := make([]int, size)
 	for i := range ids {
 		ids[i] = i
 	}
 	sh := &hierShard{h: h, id: id, eng: eng}
 	var err error
-	sh.gather, err = myrinet.NewSessionWithID(cl, hierGatherGID, ids,
-		myrinet.SchemeCollective, barrier.Dissemination, barrier.Options{})
+	sh.gather, err = c.NewGroup(comm.GroupConfig{Members: ids, Kind: comm.OpBarrier,
+		Algorithm: barrier.Dissemination, MyrinetScheme: myrinet.SchemeCollective})
 	if err != nil {
-		panic(fmt.Sprintf("shard: gather session: %v", err))
+		panic(fmt.Sprintf("shard: gather group: %v", err))
 	}
-	sh.bcast, err = myrinet.NewBroadcastSessionWithID(cl, hierReleaseGID, ids, 0, barrier.DefaultTreeDegree)
+	sh.bcast, err = c.NewGroup(comm.GroupConfig{Members: ids, Kind: comm.OpBroadcast,
+		Degree: barrier.DefaultTreeDegree})
 	if err != nil {
-		panic(fmt.Sprintf("shard: release session: %v", err))
+		panic(fmt.Sprintf("shard: release group: %v", err))
 	}
-	sh.gather.OnIterDone = func(int, sim.Time) { sh.onGatherDone() }
-	sh.bcast.OnIterDone = func(_ int, at sim.Time) { sh.onReleased(at) }
+	sh.gather.SetOnIterDone(func(int, sim.Time) { sh.onGatherDone() })
+	sh.bcast.SetOnIterDone(func(_ int, at sim.Time) { sh.onReleased(at) })
 	sh.got = make([][]bool, h.total)
 	for i := range sh.got {
 		sh.got[i] = make([]bool, h.rounds)

@@ -219,6 +219,14 @@ func TestHierBarrierDeterministicAcrossRuns(t *testing.T) {
 	if a.Tokens != wantTokens {
 		t.Fatalf("exchanged %d tokens, want %d", a.Tokens, wantTokens)
 	}
+	// Pinned virtual-time figures: the shards' groups and the runner's
+	// windows must not drift when the construction path changes.
+	if want := sim.Duration(35342); a.MeanLatency != want {
+		t.Errorf("mean latency %v, pinned %v", a.MeanLatency, want)
+	}
+	if a.Windows != 160 || a.Tokens != 32 {
+		t.Errorf("windows/tokens %d/%d, pinned 160/32", a.Windows, a.Tokens)
+	}
 }
 
 func TestHierBarrierPartsSweepCompletes(t *testing.T) {

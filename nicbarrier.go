@@ -273,18 +273,18 @@ func MeasureBarrier(cfg Config, warmup, iters int) (Result, error) {
 	return g.Barrier(warmup, iters)
 }
 
-func myrinetProfile(ic Interconnect) hwprofile.MyrinetProfile {
-	if ic == MyrinetLANai91 {
-		return hwprofile.LANai91Cluster()
+// profileOf maps the public interconnect to its testbed's hardware
+// profile, the backend selector comm.NewCluster switches on.
+func profileOf(ic Interconnect) (hwprofile.Profile, error) {
+	switch ic {
+	case MyrinetLANai91:
+		return hwprofile.LANai91Cluster(), nil
+	case MyrinetLANaiXP:
+		return hwprofile.LANaiXPCluster(), nil
+	case QuadricsElan3:
+		return hwprofile.Elan3Cluster(), nil
 	}
-	return hwprofile.LANaiXPCluster()
-}
-
-// applyFaults compiles Config.Faults onto a Myrinet cluster.
-func applyMyrinetFaults(cfg Config, cl *myrinet.Cluster) {
-	if plan := compileFaults(cfg.Faults, cfg.Seed, cl.Prof.Net.BandwidthMBps); plan != nil {
-		cl.SetFaults(plan)
-	}
+	return nil, fmt.Errorf("nicbarrier: unknown interconnect %d", int(ic))
 }
 
 // MeasureBroadcast runs the NIC-based broadcast extension on a Myrinet
@@ -418,21 +418,19 @@ func FitScalabilityModel(ic Interconnect, maxNodes int, f Fidelity) (Scalability
 	if f == PaperFidelity {
 		cfg = harness.PaperFidelity()
 	}
+	prof, err := profileOf(ic)
+	if err != nil {
+		return ScalabilityModel{}, err
+	}
 	var ns []int
 	var ys []float64
 	for n := 2; n <= maxNodes; n *= 2 {
-		var lat float64
-		switch ic {
-		case QuadricsElan3:
-			lat = harness.MeasureElan(cfg, n, n, elan.SchemeChained, barrier.Dissemination)
-		case MyrinetLANai91, MyrinetLANaiXP:
-			lat = harness.MeasureMyrinet(cfg, myrinetProfile(ic), n, n,
-				myrinet.SchemeCollective, barrier.Dissemination)
-		default:
-			return ScalabilityModel{}, fmt.Errorf("nicbarrier: unknown interconnect %d", int(ic))
+		p := harness.ElanPoint(n, n, elan.SchemeChained, barrier.Dissemination)
+		if my, ok := prof.(hwprofile.MyrinetProfile); ok {
+			p = harness.MyrinetPoint(my, n, n, myrinet.SchemeCollective, barrier.Dissemination)
 		}
 		ns = append(ns, n)
-		ys = append(ys, lat)
+		ys = append(ys, harness.MeasureBarrier(cfg, p))
 	}
 	m, err := model.Fit(ns, ys)
 	if err != nil {
