@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -111,5 +112,31 @@ func TestTraceFlag(t *testing.T) {
 	}
 	if n, err := obs.ValidateChromeTrace(data); err != nil || n == 0 {
 		t.Fatalf("exported trace invalid (%d events): %v", n, err)
+	}
+}
+
+// TestTraceDeterministic checks that a traced figure writes the same
+// file every time: parallel sweep workers create their scopes in a racy
+// order, so two parallel runs and a serial one must still agree byte
+// for byte.
+func TestTraceDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	var traces [][]byte
+	for i, extra := range [][]string{nil, nil, {"-serial"}} {
+		path := filepath.Join(dir, fmt.Sprintf("trace%d.json", i))
+		args := append([]string{"-fig", "fig7", "-trace", path}, extra...)
+		if code, _, errb := bench(t, args...); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errb)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, data)
+	}
+	for i := 1; i < len(traces); i++ {
+		if !bytes.Equal(traces[0], traces[i]) {
+			t.Errorf("trace %d differs from trace 0 (%d vs %d bytes)", i, len(traces[i]), len(traces[0]))
+		}
 	}
 }

@@ -166,3 +166,40 @@ func TestCommittedBaselineCoversAllScenarios(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocBudgetsCoverBaseline checks that every scenario's
+// allocations-per-event metric in the committed baseline has a budget,
+// and that the trajectory snapshot the budgets were taken from meets
+// them under the default policy.
+func TestAllocBudgetsCoverBaseline(t *testing.T) {
+	pol := benchreg.DefaultPolicy()
+	base, err := benchreg.ReadFile(filepath.Join("..", "..", "bench", "baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range base.Metrics {
+		if _, ok := pol.Budgets.Caps[m.Name]; m.Unit == "allocs/ev" && !ok {
+			t.Errorf("%s has no allocation budget", m.Name)
+		}
+	}
+	snap, err := benchreg.ReadFile(filepath.Join("..", "..", "bench", "trajectory", "BENCH_9b751cb080e8.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := benchreg.Compare(base, snap, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgeted := 0
+	for _, d := range res.Deltas {
+		if d.Budget != 0 {
+			budgeted++
+			if d.Regressed {
+				t.Errorf("%s: %.4f over its budget %.2f", d.Name, d.Cur, d.Budget)
+			}
+		}
+	}
+	if budgeted != len(pol.Budgets.Caps) {
+		t.Errorf("%d budgeted metrics compared, want %d", budgeted, len(pol.Budgets.Caps))
+	}
+}

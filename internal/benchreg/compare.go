@@ -40,6 +40,8 @@ type Policy struct {
 	// improvement, it is the protocol silently not sending traffic it
 	// should.
 	Exact map[string]bool
+	// Budgets caps metrics by name, whatever the baseline holds.
+	Budgets Budgets
 	// NoiseMult widens the tolerance by NoiseMult × the larger repeat
 	// spread of the two reports, so a metric that is visibly noisy in
 	// either run cannot flap the gate.
@@ -62,24 +64,36 @@ func DefaultPolicy() Policy {
 			// Paper-improvement ratios compound two measurements.
 			"x": {Rel: 0.05, Abs: 0.02},
 		},
-		// Wall-clock and allocator behavior vary with the machine and Go
-		// release; the hard zero-alloc gate for the hot path lives in the
-		// micro-benchmark CI job, not here. "speedup" is measured
-		// wall-clock speedup of the sharded runs — as host-dependent as
-		// the wall times it is derived from (its deterministic sibling,
-		// the load-balance bound, gates under unit "x").
-		// "B/ep" (live-heap bytes per endpoint) is host-side footprint:
-		// tracked in every report next to wall time, never a gate —
-		// GC timing and allocator layout make it run-to-run noisy.
-		Informational: map[string]bool{"ns/op": true, "ns/ev": true, "allocs/ev": true, "speedup": true, "B/ep": true},
+		// Wall-clock behavior varies with the machine. "speedup" is
+		// measured wall-clock speedup of the sharded runs — as
+		// host-dependent as the wall times it is derived from (its
+		// deterministic sibling, the load-balance bound, gates under
+		// unit "x"). "B/ep" (live-heap bytes per endpoint) is host-side
+		// footprint: tracked in every report next to wall time, never a
+		// gate — GC timing and allocator layout make it run-to-run
+		// noisy. Allocations per event ("allocs/ev") repeat to about
+		// 1e-5, so they gate, each scenario against its budget.
+		Informational: map[string]bool{"ns/op": true, "ns/ev": true, "speedup": true, "B/ep": true},
 		// Throughput ("kops/s") and fairness ("jain") come from the
 		// multi-tenant scenarios: deterministic per seed, and more is
 		// better for both.
 		HigherIsBetter: map[string]bool{"x": true, "kops/s": true, "jain": true},
 		Exact:          map[string]bool{"pkts": true},
+		Budgets:        allocBudgets,
 		NoiseMult:      2,
 		FailOnMissing:  true,
 	}
+}
+
+// Budgets caps metrics by name. A capped metric fails the gate when it
+// exceeds its cap (widened by NoiseMult × its repeat spread), and is not
+// held to the baseline's threshold in the worse direction. Caps hold
+// only for reports measured with Loop's fidelity, warmup and iterations,
+// since how much set-up a run amortizes moves per-event costs; reports
+// measured otherwise hold the metric to the baseline instead.
+type Budgets struct {
+	Loop RunConfig
+	Caps map[string]float64
 }
 
 // threshold resolves the policy for one metric.
@@ -121,6 +135,9 @@ type Delta struct {
 	Improved bool `json:"improved"`
 	// Informational: the unit never gates; Regressed is always false.
 	Informational bool `json:"informational"`
+	// Budget is the cap the metric is held to (Policy.Budgets), 0 when
+	// it has none.
+	Budget float64 `json:"budget,omitempty"`
 }
 
 // Result is a full report-vs-baseline comparison.
@@ -224,7 +241,15 @@ func Compare(baseline, current *Report, pol Policy) (Result, error) {
 		// Informational units take neither flag: flagging their noise
 		// as "better" (while suppressing the symmetric worse moves)
 		// would make CI logs read as systematic improvements.
-		if math.Abs(diff) > tol && !d.Informational {
+		budget, capped := pol.Budgets.Caps[bm.Name]
+		capped = capped && sameLoop(current.Config, pol.Budgets.Loop)
+		switch {
+		case d.Informational:
+		case capped:
+			d.Budget = budget
+			d.Regressed = cm.Value > budget+pol.NoiseMult*cm.Spread
+			d.Improved = !d.Regressed && diff < -tol
+		case math.Abs(diff) > tol:
 			if worse || pol.Exact[bm.Unit] {
 				d.Regressed = true
 			} else {
@@ -252,11 +277,16 @@ func compatible(baseline, current *Report) error {
 			baseline.Seed, current.Seed)
 	}
 	b, c := baseline.Config, current.Config
-	if b.Fidelity != c.Fidelity || b.Warmup != c.Warmup || b.Iters != c.Iters {
+	if !sameLoop(b, c) {
 		return fmt.Errorf("benchreg: measurement loops differ (baseline %s %dw/%di vs current %s %dw/%di) — rerun with matching -fidelity/-warmup/-iters",
 			b.Fidelity, b.Warmup, b.Iters, c.Fidelity, c.Warmup, c.Iters)
 	}
 	return nil
+}
+
+// sameLoop reports whether two configs measured the same loop.
+func sameLoop(a, b RunConfig) bool {
+	return a.Fidelity == b.Fidelity && a.Warmup == b.Warmup && a.Iters == b.Iters
 }
 
 func relDelta(base, cur float64) float64 {
@@ -278,8 +308,12 @@ func (r Result) Render(all bool) string {
 		if !math.IsNaN(d.Rel) {
 			rel = fmt.Sprintf("%+.2f%%", d.Rel*100)
 		}
-		fmt.Fprintf(&b, "  %-8s %-40s %12.3f -> %12.3f %-6s %8s (tol ±%.3f)\n",
-			tag, d.Name, d.Base, d.Cur, d.Unit, rel, d.Tolerance)
+		limit := fmt.Sprintf("tol ±%.3f", d.Tolerance)
+		if d.Budget != 0 {
+			limit = fmt.Sprintf("budget %.3f", d.Budget)
+		}
+		fmt.Fprintf(&b, "  %-8s %-40s %12.3f -> %12.3f %-6s %8s (%s)\n",
+			tag, d.Name, d.Base, d.Cur, d.Unit, rel, limit)
 	}
 	for _, d := range r.Regressions() {
 		row("FAIL", d)

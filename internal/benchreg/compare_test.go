@@ -184,6 +184,51 @@ func TestCompareInformationalUnitsNeverGate(t *testing.T) {
 	}
 }
 
+// A budget caps a metric whatever the baseline says: allocations far
+// below an old baseline pass (and read as an improvement), allocations
+// over the budget fail even though they are still below the baseline.
+// allocs/ev without a budget is held to the baseline like any gated
+// unit.
+func TestCompareBudgets(t *testing.T) {
+	pol := DefaultPolicy()
+	pol.Budgets = Budgets{Loop: RunConfig{Fidelity: "quick", Warmup: 1, Iters: 1},
+		Caps: map[string]float64{"fig5/allocs_per_event": 0.03}}
+	base := mkReport("aaa",
+		Metric{Name: "fig5/allocs_per_event", Unit: "allocs/ev", Value: 1.28},
+		Metric{Name: "fig6/allocs_per_event", Unit: "allocs/ev", Value: 0.02})
+	lean := mkReport("bbb",
+		Metric{Name: "fig5/allocs_per_event", Unit: "allocs/ev", Value: 0.021},
+		Metric{Name: "fig6/allocs_per_event", Unit: "allocs/ev", Value: 0.02})
+	res := mustCompare(t, base, lean, pol)
+	if res.Failed() || !res.Deltas[0].Improved || res.Deltas[0].Budget != 0.03 {
+		t.Fatalf("allocations within budget: %s", res.Render(true))
+	}
+	over := mkReport("ccc",
+		Metric{Name: "fig5/allocs_per_event", Unit: "allocs/ev", Value: 0.5},
+		Metric{Name: "fig6/allocs_per_event", Unit: "allocs/ev", Value: 0.02})
+	res = mustCompare(t, base, over, pol)
+	if !res.Failed() || !res.Deltas[0].Regressed {
+		t.Fatalf("allocations over budget passed: %s", res.Render(true))
+	}
+	if !strings.Contains(res.Render(false), "budget 0.030") {
+		t.Fatalf("render does not name the budget:\n%s", res.Render(false))
+	}
+	// A report measured with another loop is held to its baseline, not
+	// to budgets taken from a different amount of amortized set-up.
+	otherLoop := func(r *Report) *Report { r.Config.Iters = 2; return r }
+	res = mustCompare(t, otherLoop(mkReport("aaa", base.Metrics...)), otherLoop(over), pol)
+	if res.Deltas[0].Budget != 0 || !res.Deltas[0].Improved {
+		t.Fatalf("budget applied to another loop: %s", res.Render(true))
+	}
+	unbudgeted := mkReport("ddd",
+		Metric{Name: "fig5/allocs_per_event", Unit: "allocs/ev", Value: 0.02},
+		Metric{Name: "fig6/allocs_per_event", Unit: "allocs/ev", Value: 0.5})
+	res = mustCompare(t, base, unbudgeted, pol)
+	if !res.Failed() || !res.Deltas[1].Regressed || res.Deltas[1].Informational {
+		t.Fatalf("unbudgeted allocation rise passed: %s", res.Render(true))
+	}
+}
+
 func TestCompareNoiseWidensTolerance(t *testing.T) {
 	pol := Policy{Default: Threshold{Rel: 0, Abs: 1}, NoiseMult: 2}
 	base := mkReport("aaa", Metric{Name: "m", Unit: "sim_us", Value: 10, Spread: 3})

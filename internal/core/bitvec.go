@@ -10,7 +10,7 @@
 //   - the operation state machine that advances a barrier.Schedule as
 //     notifications arrive, buffering one barrier ahead (the consecutive-
 //     barrier case);
-//   - receiver-driven retransmission support: Missing() lists the peers
+//   - receiver-driven retransmission support: AppendMissing lists the peers
 //     to NACK, HasSent() answers whether a NACK can be served (error
 //     control done collectively — Section 3 "Flow/Error Control" and
 //     Section 6.3).
@@ -96,16 +96,16 @@ func (v *BitVector) allSet(lo, hi int) bool {
 	return true
 }
 
-// Missing returns the indices of clear bits, in ascending order.
-func (v *BitVector) Missing() []int {
+// AppendMissing appends the indices of clear bits, in ascending order,
+// to dst and returns the extended slice, so a caller can reuse storage.
+func (v *BitVector) AppendMissing(dst []int) []int {
 	if v.Full() {
-		return nil
+		return dst
 	}
-	out := make([]int, 0, v.n-v.set)
 	for i := 0; i < v.n; i++ {
 		if !v.Get(i) {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }

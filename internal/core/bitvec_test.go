@@ -22,7 +22,7 @@ func TestBitVectorBasics(t *testing.T) {
 	if !v.Get(64) || v.Get(1) {
 		t.Fatal("Get wrong")
 	}
-	missing := v.Missing()
+	missing := v.AppendMissing(nil)
 	if len(missing) != 66 {
 		t.Fatalf("missing %d bits", len(missing))
 	}
@@ -45,7 +45,7 @@ func TestBitVectorFull(t *testing.T) {
 		}
 		v.Set(i)
 	}
-	if !v.Full() || v.Missing() != nil {
+	if !v.Full() || v.AppendMissing(nil) != nil {
 		t.Fatal("not full after setting all")
 	}
 	// Zero-length vector is trivially full.
@@ -89,12 +89,12 @@ func TestBitVectorProperty(t *testing.T) {
 		if v.Full() != (len(ref) == n) {
 			return false
 		}
-		for _, m := range v.Missing() {
+		for _, m := range v.AppendMissing(nil) {
 			if ref[m] {
 				return false
 			}
 		}
-		return len(v.Missing()) == n-len(ref)
+		return len(v.AppendMissing(nil)) == n-len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ import (
 //
 // The layout is map-free and sized by the rank's schedule, never by the
 // group. Arrival bits follow ExpectedArrivals order, so each step waits
-// on a contiguous bit range and Missing lists ranks in schedule order.
+// on a contiguous bit range and AppendMissing lists ranks in schedule order.
 // The tables share one allocation, in the order Arrive reads them, and
 // the fields Arrive reads come first, so an arrival touches few cache
 // lines.
@@ -220,18 +220,21 @@ func (o *OpState) Abort() {
 	o.early.Clear()
 }
 
-// Missing lists the peer ranks whose notifications for the active
-// operation have not arrived — the NACK targets of receiver-driven
-// retransmission. It is nil when no operation is active.
-func (o *OpState) Missing() []int {
+// AppendMissing appends to dst the peer ranks whose notifications for
+// the active operation have not arrived — the NACK targets of
+// receiver-driven retransmission — and returns the extended slice, so
+// the NACK timer can reuse one buffer. It appends nothing when no
+// operation is active.
+func (o *OpState) AppendMissing(dst []int) []int {
 	if !o.active {
-		return nil
+		return dst
 	}
-	out := o.arrived.Missing()
-	for i, b := range out {
-		out[i] = int(o.rankOf[b])
+	n := len(dst)
+	dst = o.arrived.AppendMissing(dst)
+	for i := n; i < len(dst); i++ {
+		dst[i] = o.rankOf[dst[i]]
 	}
-	return out
+	return dst
 }
 
 // HasSent reports whether this rank's notification to toRank for

@@ -45,15 +45,15 @@ func TestOpDisseminationTwoRanks(t *testing.T) {
 	if len(sends) != 1 || sends[0] != 1 || completed {
 		t.Fatalf("start: sends=%v completed=%v", sends, completed)
 	}
-	if got := o.Missing(); len(got) != 1 || got[0] != 1 {
+	if got := o.AppendMissing(nil); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("missing = %v", got)
 	}
 	sends, completed = mustArrive(t, o, 0, 1)
 	if len(sends) != 0 || !completed {
 		t.Fatalf("arrive: sends=%v completed=%v", sends, completed)
 	}
-	if o.Missing() != nil {
-		t.Fatalf("missing after completion: %v", o.Missing())
+	if o.AppendMissing(nil) != nil {
+		t.Fatalf("missing after completion: %v", o.AppendMissing(nil))
 	}
 }
 
@@ -210,7 +210,7 @@ func driveGroup(alg barrier.Algorithm, n int, ops int, seed uint64, lossRate flo
 			if len(inflight) == 0 {
 				// Deadlock: recover every missing message via NACK.
 				for r := 0; r < n; r++ {
-					for _, from := range states[r].Missing() {
+					for _, from := range states[r].AppendMissing(nil) {
 						if states[from].HasSent(states[r].Seq(), r) {
 							inflight = append(inflight, msg{states[r].Seq(), from, r})
 						}
@@ -284,11 +284,11 @@ func TestOpMissingInExpectedArrivalsOrder(t *testing.T) {
 	want := sched.ExpectedArrivals() // 7, 6, 4: not ascending
 	o := NewOpState(sched)
 	mustStart(t, o, 0)
-	if got := o.Missing(); !slices.Equal(got, want) {
+	if got := o.AppendMissing(nil); !slices.Equal(got, want) {
 		t.Fatalf("Missing = %v, want %v", got, want)
 	}
 	mustArrive(t, o, 0, want[1])
-	if got, rest := o.Missing(), []int{want[0], want[2]}; !slices.Equal(got, rest) {
+	if got, rest := o.AppendMissing(nil), []int{want[0], want[2]}; !slices.Equal(got, rest) {
 		t.Fatalf("Missing = %v, want %v", got, rest)
 	}
 }
@@ -312,7 +312,7 @@ func TestOpEarlyDuplicateAndReplay(t *testing.T) {
 	if !slices.Equal(sends, []int{1}) || completed {
 		t.Fatalf("Start(1): sends=%v completed=%v", sends, completed)
 	}
-	if got := o.Missing(); !slices.Equal(got, []int{3}) {
+	if got := o.AppendMissing(nil); !slices.Equal(got, []int{3}) {
 		t.Fatalf("Missing after replay = %v, want [3]", got)
 	}
 	if sends, completed := mustArrive(t, o, 1, 3); !slices.Equal(sends, []int{2}) || !completed {
@@ -327,11 +327,11 @@ func TestOpAbortClearsEarly(t *testing.T) {
 	mustStart(t, o, 0)
 	mustArrive(t, o, 1, 3)
 	o.Abort()
-	if o.Active() || o.Missing() != nil {
-		t.Fatalf("active=%v missing=%v after Abort", o.Active(), o.Missing())
+	if o.Active() || o.AppendMissing(nil) != nil {
+		t.Fatalf("active=%v missing=%v after Abort", o.Active(), o.AppendMissing(nil))
 	}
 	mustStart(t, o, 1)
-	if got := o.Missing(); !slices.Equal(got, []int{3, 2}) {
+	if got := o.AppendMissing(nil); !slices.Equal(got, []int{3, 2}) {
 		t.Fatalf("Missing = %v, want [3 2]: the early arrival survived Abort", got)
 	}
 }

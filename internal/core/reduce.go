@@ -186,7 +186,14 @@ func (r *ReduceState) recordSends(seq int, sends []int) {
 	}
 	m := r.sent[seq]
 	if m == nil {
-		m = make(map[int]int64)
+		// Reuse the snapshots of operation seq-2, which this call
+		// prunes anyway.
+		if m = r.sent[seq-2]; m != nil {
+			delete(r.sent, seq-2)
+			clear(m)
+		} else {
+			m = make(map[int]int64)
+		}
 		r.sent[seq] = m
 	}
 	for _, to := range sends {

@@ -96,7 +96,7 @@ func driveReduce(t *testing.T, op ReduceOp, alg barrier.Algorithm, values []int6
 			// NACK recovery: resend the recorded snapshot (never the
 			// current partial, which could double-count).
 			for r := 0; r < n; r++ {
-				for _, from := range states[r].Inner().Missing() {
+				for _, from := range states[r].Inner().AppendMissing(nil) {
 					if v, ok := states[from].SentValue(0, r); ok {
 						inflight = append(inflight, msg{from, r, v})
 					}

@@ -39,31 +39,14 @@ type proc struct {
 	busyUntil sim.Time
 }
 
-func (p *proc) exec(cycles int64, fixed sim.Duration, fn func()) {
+func (p *proc) exec(cycles int64, fixed sim.Duration, ev sim.Event) {
 	start := p.eng.Now()
 	if p.busyUntil > start {
 		start = p.busyUntil
 	}
 	done := start.Add(sim.Cycles(cycles, p.clockMHz)).Add(fixed)
 	p.busyUntil = done
-	p.eng.Schedule(done, fn)
-}
-
-// rdmaMsg is a zero-byte RDMA whose only effect is firing a remote event
-// — "all messages communicated between processes just serve as a form of
-// notification" (Section 7).
-type rdmaMsg struct {
-	group    core.GroupID
-	seq      int
-	fromRank int
-	// hostLevel marks gsync-style RDMAs whose arrival must be surfaced
-	// to the host rather than consumed by a NIC-resident chain.
-	hostLevel bool
-}
-
-// hwBarrierMsg is the broadcast phase of the hardware barrier.
-type hwBarrierMsg struct {
-	round int
+	p.eng.ScheduleEvent(done, ev)
 }
 
 // Event is a host-visible completion.
@@ -75,13 +58,16 @@ type Event struct {
 }
 
 // EventKind classifies host events.
-type EventKind int
+type EventKind uint8
 
 // Host event kinds.
 const (
 	EvBarrierDone EventKind = iota + 1
 	EvRemote                // a host-level remote event fired (gsync step)
 	EvHWBarrier             // hardware barrier round completed
+	// evGsyncStep is an EvRemote handed back to its group's handler
+	// after the host has charged gsync's tree bookkeeping (see Compute).
+	evGsyncStep
 )
 
 // Node is one QsNet cluster node.
@@ -92,7 +78,8 @@ type Node struct {
 	Host *Host
 	NIC  *NIC
 
-	cluster *Cluster // set by NewCluster; needed by the hardware barrier
+	cluster *Cluster  // set by NewCluster; needed by the hardware barrier
+	tasks   *taskPool // the cluster-wide pool of handler records
 }
 
 // Host models the host CPU side of Elanlib.
@@ -212,36 +199,44 @@ type chainOp struct {
 	frozen bool
 }
 
-// NewNode builds one node attached to net.
-func NewNode(eng *sim.Engine, id int, prof *hwprofile.QuadricsProfile, net *netsim.Network) *Node {
+// newNode builds one node attached to net whose handler records come
+// from tasks.
+func newNode(eng *sim.Engine, id int, prof *hwprofile.QuadricsProfile, net *netsim.Network, tasks *taskPool) *Node {
 	n := &Node{
-		ID:   id,
-		Prof: prof,
-		Bus:  pci.New(eng, prof.PCI),
+		ID:    id,
+		Prof:  prof,
+		Bus:   pci.New(eng, prof.PCI),
+		tasks: tasks,
 	}
 	n.Host = &Host{proc: proc{eng: eng, clockMHz: prof.Host.ClockMHz}, node: n}
 	n.NIC = &NIC{
-		proc:   proc{eng: eng, clockMHz: prof.NIC.ClockMHz},
-		node:   n,
-		net:    net,
-		chains: make(map[core.GroupID]*chainOp),
+		proc: proc{eng: eng, clockMHz: prof.NIC.ClockMHz},
+		node: n,
+		net:  net,
 	}
 	net.Attach(id, n.NIC.onPacket)
 	return n
 }
 
-func (h *Host) deliver(ev Event) {
-	h.exec(h.node.Prof.Host.RecvPollCycles, 0, func() {
-		if ev.Kind == EvBarrierDone || ev.Kind == EvRemote {
-			if fn := h.groupHandlers[ev.Group]; fn != nil {
-				fn(ev)
-				return
-			}
+// deliver hands the event t carries to the host, charging the host's
+// poll cost before the handler sees it.
+func (h *Host) deliver(t *task) {
+	t.kind = taskHostDeliver
+	h.exec(h.node.Prof.Host.RecvPollCycles, 0, t)
+}
+
+// dispatch routes a polled event: group-addressed kinds to their bound
+// handler, everything else (and events of unbound groups) to OnEvent.
+func (h *Host) dispatch(ev Event) {
+	if ev.Kind == EvBarrierDone || ev.Kind == EvRemote || ev.Kind == evGsyncStep {
+		if fn := h.groupHandlers[ev.Group]; fn != nil {
+			fn(ev)
+			return
 		}
-		if h.OnEvent != nil {
-			h.OnEvent(ev)
-		}
-	})
+	}
+	if h.OnEvent != nil {
+		h.OnEvent(ev)
+	}
 }
 
 // ArmChain installs the chained-descriptor barrier for a group. The host
@@ -266,6 +261,9 @@ func (n *NIC) TryArmChain(g *core.Group, state *core.OpState) error {
 			n.node.ID, core.ErrSlotsExhausted, len(n.chains), slots)
 	}
 	delete(n.retired, g.ID)
+	if n.chains == nil { // made by the first arm
+		n.chains = make(map[core.GroupID]*chainOp)
+	}
 	n.chains[g.ID] = &chainOp{group: g, state: state}
 	return nil
 }
@@ -296,7 +294,7 @@ func (n *NIC) DisarmChain(id core.GroupID) {
 	n.pruneRetired()
 	n.traceEvent(int(id), obs.KindUninstall, 0)
 	n.traceTime(int(id), 0, n.node.Prof.NIC.GroupUninstallCost)
-	n.exec(0, n.node.Prof.NIC.GroupUninstallCost, func() {})
+	n.exec(0, n.node.Prof.NIC.GroupUninstallCost, sim.Nop)
 }
 
 // retiredSweepLen bounds the tombstone table; pruning only runs past it.
@@ -326,17 +324,15 @@ func (n *NIC) ChargeChainInstall(id core.GroupID) {
 	delete(n.retired, id)
 	n.traceEvent(int(id), obs.KindInstall, 0)
 	n.traceTime(int(id), 0, n.node.Prof.NIC.GroupInstallCost)
-	n.exec(0, n.node.Prof.NIC.GroupInstallCost, func() {})
+	n.exec(0, n.node.Prof.NIC.GroupInstallCost, sim.Nop)
 }
 
 // TriggerChain is the host-side barrier entry: post the doorbell that
 // fires the first RDMA descriptor of the armed chain.
 func (h *Host) TriggerChain(groupID int) {
-	h.exec(h.node.Prof.Host.SendPostCycles, 0, func() {
-		h.node.Bus.PIOWrite(func() {
-			h.node.NIC.startChain(core.GroupID(groupID))
-		})
-	})
+	t := h.node.task(taskHostTrigger)
+	t.group = core.GroupID(groupID)
+	h.exec(h.node.Prof.Host.SendPostCycles, 0, t)
 }
 
 func (n *NIC) mustChain(id core.GroupID) *chainOp {
@@ -369,12 +365,12 @@ func (n *NIC) AbortChain(id core.GroupID) {
 // and heartbeats must not perturb gated timelines.
 func (n *NIC) SendHeartbeat(group core.GroupID, fromRank, dstNode int) {
 	n.net.Send(netsim.Packet{
-		Src:     n.node.ID,
-		Dst:     dstNode,
-		Size:    8,
-		Kind:    "heartbeat",
-		Group:   int(group),
-		Payload: core.Heartbeat{Group: group, Rank: fromRank},
+		Src:   n.node.ID,
+		Dst:   dstNode,
+		Size:  8,
+		Kind:  "heartbeat",
+		Group: int(group),
+		Hdr:   netsim.Header{Type: msgHeartbeat, Rank: int32(fromRank)},
 	})
 	n.Stats.HeartbeatsSent++
 }
@@ -405,85 +401,81 @@ func (n *NIC) startChain(id core.GroupID) {
 func (n *NIC) fireRDMAs(op *chainOp, seq int, ranks []int) {
 	p := n.node.Prof.NIC
 	for _, r := range ranks {
-		dst := op.group.NodeOf(r)
-		payload := rdmaMsg{group: op.group.ID, seq: seq, fromRank: op.group.MyRank}
+		t := n.node.task(taskRDMASend)
+		t.op, t.peer, t.group, t.seq, t.rank = op, op.group.NodeOf(r), op.group.ID, seq, op.group.MyRank
 		n.traceTime(int(op.group.ID), p.DMADescCycles, p.SendFixed)
-		n.exec(p.DMADescCycles, p.SendFixed, func() {
-			if op.frozen {
-				return // descriptor invalidated by an abort while queued
-			}
-			n.net.Send(netsim.Packet{
-				Src:     n.node.ID,
-				Dst:     dst,
-				Size:    n.node.Prof.BarrierBytes,
-				Kind:    "rdma-event",
-				Group:   int(op.group.ID),
-				Payload: payload,
-			})
-			n.Stats.RDMAsSent++
-		})
+		n.exec(p.DMADescCycles, p.SendFixed, t)
 	}
 }
 
 func (n *NIC) onPacket(pkt netsim.Packet) {
-	switch m := pkt.Payload.(type) {
-	case rdmaMsg:
-		n.onRDMA(m, pkt.Src)
-	case hwBarrierMsg:
-		n.onHWBroadcast(m)
-	case core.Heartbeat:
+	switch pkt.Hdr.Type {
+	case msgRDMA, msgRDMAHost:
+		n.onRDMA(pkt)
+	case msgHW:
+		n.completeHW(int(pkt.Hdr.Seq))
+	case msgHeartbeat:
 		// Liveness probes bypass the event unit: no NIC time charged.
 		n.Stats.HeartbeatsRecvd++
 		if n.OnHeartbeat != nil {
-			n.OnHeartbeat(m.Group, m.Rank)
+			n.OnHeartbeat(core.GroupID(pkt.Group), int(pkt.Hdr.Rank))
 		}
 	default:
-		panic(fmt.Sprintf("elan: node %d: unknown payload %T", n.node.ID, pkt.Payload))
+		panic(fmt.Sprintf("elan: node %d: unknown message type %d", n.node.ID, pkt.Hdr.Type))
 	}
 }
 
 // onRDMA fires the event a zero-byte RDMA addresses. For chained barriers
 // the event triggers the next descriptors; for host-level RDMAs (gsync)
 // the event surfaces to the host.
-func (n *NIC) onRDMA(m rdmaMsg, fromNode int) {
+func (n *NIC) onRDMA(pkt netsim.Packet) {
 	p := n.node.Prof.NIC
-	n.traceTime(int(m.group), p.EventFireCycles, 0)
-	n.exec(p.EventFireCycles, 0, func() {
-		n.Stats.EventsFired++
-		if m.hostLevel {
-			n.traceTime(int(m.group), 0, p.HostEventWrite)
-			n.exec(0, p.HostEventWrite, func() {
-				n.node.Host.deliver(Event{
-					Kind: EvRemote, Group: int(m.group), Seq: m.seq, FromNode: fromNode,
-				})
-			})
-			return
-		}
-		if _, gone := n.retired[m.group]; gone {
-			n.Stats.StaleRDMAs++
-			n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-			return
-		}
-		op := n.mustChain(m.group)
-		if op.frozen {
-			n.Stats.StaleRDMAs++
-			n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-			return
-		}
-		sends, done, err := op.state.Arrive(m.seq, m.fromRank)
-		if err != nil {
-			panic(fmt.Sprintf("elan: node %d: %v", n.node.ID, err))
-		}
-		if len(sends) > 0 {
-			// The chained event triggers the next descriptors.
-			n.traceTime(int(m.group), p.ChainCycles, 0)
-			n.exec(p.ChainCycles, 0, func() {})
-			n.fireRDMAs(op, op.state.Seq(), sends)
-		}
-		if done {
-			n.completeChain(op, op.state.Seq())
-		}
-	})
+	t := n.node.task(taskRDMAFired)
+	t.peer, t.group, t.seq, t.rank = pkt.Src, core.GroupID(pkt.Group), int(pkt.Hdr.Seq), int(pkt.Hdr.Rank)
+	if pkt.Hdr.Type == msgRDMAHost {
+		t.ev = EvRemote
+	}
+	n.traceTime(pkt.Group, p.EventFireCycles, 0)
+	n.exec(p.EventFireCycles, 0, t)
+}
+
+// fired runs the event unit on the RDMA w describes: a host-level one
+// (w.ev == EvRemote) is written up to the host, a chained one advances
+// its chain.
+func (n *NIC) fired(w task) {
+	p := n.node.Prof.NIC
+	n.Stats.EventsFired++
+	if w.ev == EvRemote {
+		t := n.node.task(taskHostEvent)
+		t.peer, t.group, t.seq = w.peer, w.group, w.seq
+		n.traceTime(int(w.group), 0, p.HostEventWrite)
+		n.exec(0, p.HostEventWrite, t)
+		return
+	}
+	if _, gone := n.retired[w.group]; gone {
+		n.Stats.StaleRDMAs++
+		n.traceEvent(int(w.group), obs.KindStale, int64(w.seq))
+		return
+	}
+	op := n.mustChain(w.group)
+	if op.frozen {
+		n.Stats.StaleRDMAs++
+		n.traceEvent(int(w.group), obs.KindStale, int64(w.seq))
+		return
+	}
+	sends, done, err := op.state.Arrive(w.seq, w.rank)
+	if err != nil {
+		panic(fmt.Sprintf("elan: node %d: %v", n.node.ID, err))
+	}
+	if len(sends) > 0 {
+		// The chained event triggers the next descriptors.
+		n.traceTime(int(w.group), p.ChainCycles, 0)
+		n.exec(p.ChainCycles, 0, sim.Nop)
+		n.fireRDMAs(op, op.state.Seq(), sends)
+	}
+	if done {
+		n.completeChain(op, op.state.Seq())
+	}
 }
 
 // completeChain fires the local host event of the last descriptor: "the
@@ -493,19 +485,19 @@ func (n *NIC) completeChain(op *chainOp, seq int) {
 	p := n.node.Prof.NIC
 	n.traceEvent(int(op.group.ID), obs.KindComplete, int64(seq))
 	n.traceTime(int(op.group.ID), 0, p.HostEventWrite)
-	n.exec(0, p.HostEventWrite, func() {
-		if op.frozen {
-			return // completion overtaken by an abort
-		}
-		n.node.Host.deliver(Event{Kind: EvBarrierDone, Group: int(op.group.ID), Seq: seq})
-	})
+	t := n.node.task(taskChainDone)
+	t.op, t.group, t.seq = op, op.group.ID, seq
+	n.exec(0, p.HostEventWrite, t)
 }
 
-// Compute charges generic host CPU work before running fn; barrier
-// drivers use it for host-side bookkeeping that belongs to a specific
-// implementation (e.g. gsync's tree management).
-func (h *Host) Compute(cycles int64, fn func()) {
-	h.exec(cycles, 0, fn)
+// Compute charges generic host CPU work, then hands ev to its
+// consumer again, as a fresh poll would: host-driven barriers
+// use it for bookkeeping that belongs to a specific implementation
+// (gsync's tree management).
+func (h *Host) Compute(cycles int64, ev Event) {
+	t := h.node.task(taskHostDeliver)
+	t.ev, t.group, t.seq, t.peer = ev.Kind, core.GroupID(ev.Group), ev.Seq, ev.FromNode
+	h.exec(cycles, 0, t)
 }
 
 // SendRemoteEvent issues one host-initiated zero-byte RDMA that fires a
@@ -516,25 +508,9 @@ func (h *Host) SendRemoteEvent(dstNode int, groupID, seq int) {
 	if dstNode == h.node.ID {
 		panic("elan: self RDMA not modeled")
 	}
-	h.exec(h.node.Prof.GsyncPostCycles, 0, func() {
-		h.node.Bus.PIOWrite(func() {
-			n := h.node.NIC
-			p := n.node.Prof.NIC
-			payload := rdmaMsg{group: core.GroupID(groupID), seq: seq,
-				fromRank: -1, hostLevel: true}
-			n.exec(p.DMADescCycles, p.SendFixed, func() {
-				n.net.Send(netsim.Packet{
-					Src:     n.node.ID,
-					Dst:     dstNode,
-					Size:    h.node.Prof.BarrierBytes,
-					Kind:    "rdma-host",
-					Group:   groupID,
-					Payload: payload,
-				})
-				n.Stats.RDMAsSent++
-			})
-		})
-	})
+	t := h.node.task(taskHostRemote)
+	t.peer, t.group, t.seq, t.rank = dstNode, core.GroupID(groupID), seq, -1
+	h.exec(h.node.Prof.GsyncPostCycles, 0, t)
 }
 
 // Cluster is a set of Elan nodes on a quaternary fat tree.
@@ -556,8 +532,9 @@ func NewCluster(eng *sim.Engine, prof hwprofile.QuadricsProfile, n int) *Cluster
 	t := topo.MinFatTree(prof.FatTreeArity, n)
 	net := netsim.New(eng, t, prof.Net, netsim.NoLoss{})
 	cl := &Cluster{Eng: eng, Prof: prof, Net: net}
+	tasks := &taskPool{}
 	for i := 0; i < n; i++ {
-		node := NewNode(eng, i, &cl.Prof, net)
+		node := newNode(eng, i, &cl.Prof, net, tasks)
 		node.cluster = cl
 		cl.Nodes = append(cl.Nodes, node)
 	}

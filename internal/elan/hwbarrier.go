@@ -51,11 +51,7 @@ func (hw *hwBarrier) release() {
 // PostHWBarrier enters the hardware barrier from one host. Completion is
 // delivered as an EvHWBarrier host event on every participant.
 func (h *Host) PostHWBarrier() {
-	h.exec(h.node.Prof.Host.SendPostCycles, 0, func() {
-		h.node.Bus.PIOWrite(func() {
-			h.node.NIC.node.hwPost()
-		})
-	})
+	h.exec(h.node.Prof.Host.SendPostCycles, 0, h.node.task(taskHostHW))
 }
 
 func (n *Node) hwPost() {
@@ -93,34 +89,32 @@ func (hw *hwBarrier) fire() {
 	clear(hw.posted)
 	root := hw.members[0]
 	members := hw.members
+	// This closure runs once per round for the whole cluster, not per
+	// message, and keeps the member list the round fired with.
 	eng.After(delay, func() {
 		// The combined reply is broadcast back down the tree to every
 		// participant (hardware replication in the switches).
 		hw.cl.Net.Multicast(netsim.Packet{
-			Src:     root,
-			Dst:     -1,
-			Size:    hw.cl.Prof.BarrierBytes,
-			Kind:    "hw-barrier",
-			Payload: hwBarrierMsg{round: round},
+			Src:  root,
+			Dst:  -1,
+			Size: hw.cl.Prof.BarrierBytes,
+			Kind: "hw-barrier",
+			Hdr:  netsim.Header{Type: msgHW, Seq: int32(round)},
 		}, members)
 		// The root does not hear its own multicast; complete it directly.
-		hw.cl.Nodes[root].NIC.completeHW(hwBarrierMsg{round: round})
+		hw.cl.Nodes[root].NIC.completeHW(round)
 	})
 }
 
 // Retries reports how many failed probes (sync fallback penalty) occurred.
 func (hw *hwBarrier) Retries() uint64 { return hw.retries }
 
-func (n *NIC) onHWBroadcast(m hwBarrierMsg) {
-	n.completeHW(m)
-}
-
-func (n *NIC) completeHW(m hwBarrierMsg) {
+// completeHW observes hardware-barrier round on this card.
+func (n *NIC) completeHW(round int) {
 	p := n.node.Prof.NIC
-	n.exec(p.EventFireCycles, p.HostEventWrite, func() {
-		n.Stats.HWBarriers++
-		n.node.Host.deliver(Event{Kind: EvHWBarrier, Seq: m.round})
-	})
+	t := n.node.task(taskHWCompleted)
+	t.seq = round
+	n.exec(p.EventFireCycles, p.HostEventWrite, t)
 }
 
 func clusterOf(n *Node) *Cluster {

@@ -236,21 +236,22 @@ func (m *member) onEvent(ev Event) {
 		m.hwSeq++
 		m.s.Complete(m.rank, seq)
 	case EvRemote:
+		// Elanlib's tree bookkeeping is heavier than the bare poll
+		// already charged by event delivery.
+		ev.Kind = evGsyncStep
+		m.node.Host.Compute(m.node.Prof.GsyncPollExtraCycles, ev)
+	case evGsyncStep:
 		fromRank, ok := m.group.RankOf(ev.FromNode)
 		if !ok {
 			panic(fmt.Sprintf("elan: gsync event from non-member node %d", ev.FromNode))
 		}
-		// Elanlib's tree bookkeeping is heavier than the bare poll
-		// already charged by event delivery.
-		m.node.Host.Compute(m.node.Prof.GsyncPollExtraCycles, func() {
-			sends, done, err := m.hostOp.Arrive(ev.Seq, fromRank)
-			if err != nil {
-				panic(fmt.Sprintf("elan: rank %d: %v", m.rank, err))
-			}
-			m.gsyncSend(m.hostOp.Seq(), sends)
-			if done {
-				m.s.Complete(m.rank, m.hostOp.Seq())
-			}
-		})
+		sends, done, err := m.hostOp.Arrive(ev.Seq, fromRank)
+		if err != nil {
+			panic(fmt.Sprintf("elan: rank %d: %v", m.rank, err))
+		}
+		m.gsyncSend(m.hostOp.Seq(), sends)
+		if done {
+			m.s.Complete(m.rank, m.hostOp.Seq())
+		}
 	}
 }

@@ -190,7 +190,19 @@ func permutedIDs(cfg Config, clusterSize, n int, salt uint64) []int {
 func (f Figure) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", f.ID, f.Title)
-	fmt.Fprintf(&b, "%s vs %s (us)\n", f.YLabel, f.XLabel)
+	// One unit for the whole table goes in the axis line; a mixed-unit
+	// figure gets a unit row under the column names instead.
+	units := make([]string, len(f.Series))
+	mixed := false
+	for i, s := range f.Series {
+		units[i] = displayUnit(s.Unit, f.Unit)
+		mixed = mixed || units[i] != units[0]
+	}
+	if mixed {
+		fmt.Fprintf(&b, "%s vs %s\n", f.YLabel, f.XLabel)
+	} else {
+		fmt.Fprintf(&b, "%s vs %s (%s)\n", f.YLabel, f.XLabel, displayUnit("", f.Unit))
+	}
 
 	// Collect the union of Ns, sorted.
 	set := map[int]bool{}
@@ -210,6 +222,13 @@ func (f Figure) Table() string {
 		fmt.Fprintf(&b, " %14s", s.Name)
 	}
 	b.WriteByte('\n')
+	if mixed {
+		fmt.Fprintf(&b, "%6s", "unit")
+		for _, u := range units {
+			fmt.Fprintf(&b, " %14s", u)
+		}
+		b.WriteByte('\n')
+	}
 	for _, n := range ns {
 		fmt.Fprintf(&b, "%6d", n)
 		for _, s := range f.Series {
@@ -226,6 +245,21 @@ func (f Figure) Table() string {
 		fmt.Fprintf(&b, "note: %s\n", note)
 	}
 	return b.String()
+}
+
+// displayUnit is the unit a table shows for a series with unit
+// seriesUnit in a figure with unit figUnit: the series' own, else the
+// figure's, with simulated microseconds (the empty default) shown as
+// "us".
+func displayUnit(seriesUnit, figUnit string) string {
+	u := seriesUnit
+	if u == "" {
+		u = figUnit
+	}
+	if u == "" || u == "sim_us" {
+		return "us"
+	}
+	return u
 }
 
 // TSV renders the figure as tab-separated values for plotting tools.

@@ -147,6 +147,33 @@ func TestFigureTableDisjointSeries(t *testing.T) {
 	}
 }
 
+// The table's axis line names the figure's real unit, and a figure
+// whose series differ in unit labels each column instead.
+func TestFigureTableUnits(t *testing.T) {
+	pts := []Point{{2, 1}}
+	for _, tc := range []struct {
+		f    Figure
+		axis string
+		row  []string // unit row fields; nil when there is none
+	}{
+		{Figure{ID: "a", YLabel: "lat", XLabel: "N", Series: []Series{{Name: "s", Points: pts}}}, "lat vs N (us)", nil},
+		{Figure{ID: "b", YLabel: "pkts", XLabel: "N", Unit: "pkts", Series: []Series{{Name: "s", Points: pts}}}, "pkts vs N (pkts)", nil},
+		{Figure{ID: "c", YLabel: "mix", XLabel: "N", Series: []Series{
+			{Name: "ops", Unit: "kops/s", Points: pts}, {Name: "wait", Unit: "sim_us", Points: pts}}},
+			"mix vs N", []string{"unit", "kops/s", "us"}},
+	} {
+		lines := strings.Split(tc.f.Table(), "\n")
+		if lines[1] != tc.axis {
+			t.Errorf("%s: axis line %q, want %q", tc.f.ID, lines[1], tc.axis)
+		}
+		if got := strings.Fields(lines[3]); tc.row != nil && strings.Join(got, " ") != strings.Join(tc.row, " ") {
+			t.Errorf("%s: unit row %q, want %q", tc.f.ID, got, tc.row)
+		} else if tc.row == nil && got[0] == "unit" {
+			t.Errorf("%s: unexpected unit row %q", tc.f.ID, lines[3])
+		}
+	}
+}
+
 // An empty figure still renders its header without panicking.
 func TestFigureTableEmpty(t *testing.T) {
 	f := Figure{ID: "figZ", Title: "empty", XLabel: "N", YLabel: "lat", Notes: []string{"n"}}

@@ -13,8 +13,9 @@
 // 225 MHz card — exactly how the two Myrinet testbeds differ. Fixed,
 // clock-independent per-message costs model the link interface and DMA
 // engines. The constants were calibrated so the simulated 8- and 16-node
-// latencies land near the paper's measurements; see EXPERIMENTS.md for
-// paper-vs-measured numbers.
+// latencies land near the paper's measurements; the summary experiment
+// (go run ./cmd/barrier-bench -fig summary) prints paper-vs-measured
+// numbers.
 package hwprofile
 
 import (

@@ -111,7 +111,7 @@ func Fit(ns []int, latencies []float64) (Model, error) {
 }
 
 // MaxRelativeError reports the worst |predicted−measured|/measured over
-// the points, a fit-quality summary for EXPERIMENTS.md.
+// the points: the fit-quality note of the fig8a and fig8b tables.
 func (m Model) MaxRelativeError(ns []int, latencies []float64) float64 {
 	worst := 0.0
 	for i, n := range ns {

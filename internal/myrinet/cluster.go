@@ -33,8 +33,9 @@ func NewCluster(eng *sim.Engine, prof hwprofile.MyrinetProfile, n int, loss nets
 	}
 	net := netsim.New(eng, t, prof.Net, loss)
 	cl := &Cluster{Eng: eng, Prof: prof, Net: net}
+	tasks := &taskPool{}
 	for i := 0; i < n; i++ {
-		cl.Nodes = append(cl.Nodes, NewNode(eng, i, &cl.Prof, net))
+		cl.Nodes = append(cl.Nodes, newNode(eng, i, &cl.Prof, net, tasks))
 	}
 	return cl
 }

@@ -5,7 +5,6 @@ import (
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
-	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/obs"
 	"nicbarrier/internal/sim"
 )
@@ -22,14 +21,20 @@ import (
 type collModule struct {
 	nic *NIC
 	ops map[core.GroupID]*collOp
+	// missing is the NACK timer's scratch list of silent ranks.
+	missing []int
 }
 
 type collOp struct {
+	mod       *collModule
 	group     *core.Group
 	state     *core.OpState
 	reduce    *core.ReduceState // non-nil for allreduce groups
 	nextSeq   int
 	nackTimer sim.Timer
+	// nackSeq is the operation the armed NACK timer watches; the entry
+	// is itself the timer's sim.Event.
+	nackSeq int
 	// nackServed counts NACKs answered per (seq, wantRank). A repeat NACK
 	// means the first retransmission was lost too, so the reply escalates
 	// to two back-to-back copies: under random loss that squares the
@@ -68,10 +73,6 @@ func (op *collOp) sendValue(seq, toRank int) int64 {
 		panic(fmt.Sprintf("myrinet: no reduce snapshot for op %d to rank %d", seq, toRank))
 	}
 	return v
-}
-
-func newCollModule(n *NIC) *collModule {
-	return &collModule{nic: n, ops: make(map[core.GroupID]*collOp)}
 }
 
 func (c *collModule) has(id core.GroupID) bool {
@@ -131,7 +132,7 @@ func (n *NIC) UninstallGroup(id core.GroupID) {
 	n.pruneRetired()
 	n.traceEvent(int(id), obs.KindUninstall, 0)
 	n.traceTime(int(id), 0, n.node.Prof.NIC.GroupUninstallCost)
-	n.exec(0, n.node.Prof.NIC.GroupUninstallCost, func() {})
+	n.exec(0, n.node.Prof.NIC.GroupUninstallCost, sim.Nop)
 }
 
 // retiredSweepLen bounds the tombstone table: pruning only runs once it
@@ -192,7 +193,7 @@ func (n *NIC) ChargeGroupInstall(id core.GroupID) {
 	delete(n.retired, id)
 	n.traceEvent(int(id), obs.KindInstall, 0)
 	n.traceTime(int(id), 0, n.node.Prof.NIC.GroupInstallCost)
-	n.exec(0, n.node.Prof.NIC.GroupInstallCost, func() {})
+	n.exec(0, n.node.Prof.NIC.GroupInstallCost, sim.Nop)
 }
 
 func (c *collModule) install(g *core.Group, sched barrier.Schedule) error {
@@ -200,7 +201,7 @@ func (c *collModule) install(g *core.Group, sched barrier.Schedule) error {
 		return err
 	}
 	delete(c.nic.retired, g.ID)
-	c.ops[g.ID] = &collOp{group: g, state: core.NewOpState(sched)}
+	c.add(&collOp{mod: c, group: g, state: core.NewOpState(sched)})
 	return nil
 }
 
@@ -213,8 +214,17 @@ func (c *collModule) installReduce(g *core.Group, sched barrier.Schedule, op cor
 		return err
 	}
 	delete(c.nic.retired, g.ID)
-	c.ops[g.ID] = &collOp{group: g, state: rd.Inner(), reduce: rd}
+	c.add(&collOp{mod: c, group: g, state: rd.Inner(), reduce: rd})
 	return nil
+}
+
+// add enters op into the group table, which is made by the first
+// install.
+func (c *collModule) add(op *collOp) {
+	if c.ops == nil {
+		c.ops = make(map[core.GroupID]*collOp)
+	}
+	c.ops[op.group.ID] = op
 }
 
 func (c *collModule) mustOp(id core.GroupID) *collOp {
@@ -232,41 +242,55 @@ func (c *collModule) start(id core.GroupID, value int64) {
 	op := c.mustOp(id)
 	n := c.nic
 	n.traceTime(int(id), n.node.Prof.NIC.CollEnqueue, 0)
-	n.exec(n.node.Prof.NIC.CollEnqueue, 0, func() {
-		if op.frozen {
-			// The group was aborted while this doorbell sat in the
-			// handler queue; the host-side run is void.
-			n.Stats.StaleColl++
-			n.traceEvent(int(id), obs.KindStale, int64(op.nextSeq))
-			return
+	t := n.node.task(taskCollStart)
+	t.ref, t.m.value = op, value
+	n.exec(n.node.Prof.NIC.CollEnqueue, 0, t)
+}
+
+// begin runs the enqueued doorbell of op.
+func (c *collModule) begin(op *collOp, value int64) {
+	n := c.nic
+	id := op.group.ID
+	if op.frozen {
+		// The group was aborted while this doorbell sat in the
+		// handler queue; the host-side run is void.
+		n.Stats.StaleColl++
+		n.traceEvent(int(id), obs.KindStale, int64(op.nextSeq))
+		return
+	}
+	seq := op.nextSeq
+	op.nextSeq++
+	op.nackRound = 0
+	// Peers lag at most one operation behind, so NACK bookkeeping for
+	// operations before seq-1 can never be consulted again.
+	for k := range op.nackServed {
+		if k[0] < seq-1 {
+			delete(op.nackServed, k)
 		}
-		seq := op.nextSeq
-		op.nextSeq++
-		op.nackRound = 0
-		// Peers lag at most one operation behind, so NACK bookkeeping for
-		// operations before seq-1 can never be consulted again.
-		for k := range op.nackServed {
-			if k[0] < seq-1 {
-				delete(op.nackServed, k)
-			}
-		}
-		var sends []int
-		var done bool
-		var err error
-		if op.reduce != nil {
-			sends, done, err = op.reduce.Start(seq, value)
-		} else {
-			sends, done, err = op.state.Start(seq)
-		}
-		if err != nil {
-			panic(fmt.Sprintf("myrinet: node %d group %d: %v", n.node.ID, int(id), err))
-		}
-		c.armNack(op, seq)
-		c.sendAll(op, seq, sends)
-		if done {
-			c.complete(op, seq)
-		}
-	})
+	}
+	var sends []int
+	var done bool
+	var err error
+	if op.reduce != nil {
+		sends, done, err = op.reduce.Start(seq, value)
+	} else {
+		sends, done, err = op.state.Start(seq)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("myrinet: node %d group %d: %v", n.node.ID, int(id), err))
+	}
+	c.armNack(op, seq)
+	c.sendAll(op, seq, sends)
+	if done {
+		c.complete(op, seq)
+	}
+}
+
+// notice is the static-packet notification op sends to rank for
+// operation seq.
+func (op *collOp) notice(seq, toRank int) message {
+	return message{typ: msgColl, peer: op.group.NodeOf(toRank), group: op.group.ID,
+		seq: seq, rank: op.group.MyRank, value: op.sendValue(seq, toRank)}
 }
 
 // sendAll fires one CollTrigger handler per outgoing notification; the
@@ -275,70 +299,63 @@ func (c *collModule) start(id core.GroupID, value int64) {
 func (c *collModule) sendAll(op *collOp, seq int, ranks []int) {
 	n := c.nic
 	for _, r := range ranks {
-		dst := op.group.NodeOf(r)
-		payload := collPayload{
-			group: op.group.ID, seq: seq, fromRank: op.group.MyRank,
-			value: op.sendValue(seq, r),
-		}
+		t := n.node.task(taskCollSend)
+		t.m = op.notice(seq, r)
 		n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed)
-		n.exec(n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed, func() {
-			n.net.Send(netsim.Packet{
-				Src:     n.node.ID,
-				Dst:     dst,
-				Size:    n.node.Prof.BarrierBytes,
-				Kind:    "barrier-coll",
-				Group:   int(op.group.ID),
-				Payload: payload,
-			})
-			n.Stats.CollSent++
-		})
+		n.exec(n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed, t)
 	}
 }
 
 // onMsg handles an arrived collective notification: one slim handler
 // updates the bit vector and triggers whatever the schedule unblocks.
-func (c *collModule) onMsg(m collPayload) {
+func (c *collModule) onMsg(m message) {
 	n := c.nic
 	n.traceTime(int(m.group), n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed)
-	n.exec(n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed, func() {
-		if _, gone := n.retired[m.group]; gone {
-			// A NACK-resent duplicate outlived its group: the operation
-			// completed (which is why the group could tear down), so the
-			// copy is stale by construction.
-			n.Stats.StaleColl++
-			n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-			return
-		}
-		op := c.mustOp(m.group)
-		if op.frozen {
-			n.Stats.StaleColl++
-			n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-			return
-		}
-		n.Stats.CollRecvd++
-		staleBefore := op.state.Stale + op.state.Duplicates
-		var sends []int
-		var done bool
-		var err error
-		if op.reduce != nil {
-			sends, done, err = op.reduce.Arrive(m.seq, m.fromRank, m.value)
-		} else {
-			sends, done, err = op.state.Arrive(m.seq, m.fromRank)
-		}
-		if err != nil {
-			panic(fmt.Sprintf("myrinet: node %d: %v", n.node.ID, err))
-		}
-		if op.state.Stale+op.state.Duplicates > staleBefore {
-			n.Stats.StaleColl++
-			n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-		} else {
-			op.nackRound = 0 // progress: the NACK rounds were not fruitless
-		}
-		c.sendAll(op, op.state.Seq(), sends)
-		if done {
-			c.complete(op, op.state.Seq())
-		}
-	})
+	t := n.node.task(taskCollRecv)
+	t.m = m
+	n.exec(n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed, t)
+}
+
+// arrive runs the receive handler of notification m.
+func (c *collModule) arrive(m message) {
+	n := c.nic
+	if _, gone := n.retired[m.group]; gone {
+		// A NACK-resent duplicate outlived its group: the operation
+		// completed (which is why the group could tear down), so the
+		// copy is stale by construction.
+		n.Stats.StaleColl++
+		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
+		return
+	}
+	op := c.mustOp(m.group)
+	if op.frozen {
+		n.Stats.StaleColl++
+		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
+		return
+	}
+	n.Stats.CollRecvd++
+	staleBefore := op.state.Stale + op.state.Duplicates
+	var sends []int
+	var done bool
+	var err error
+	if op.reduce != nil {
+		sends, done, err = op.reduce.Arrive(m.seq, m.rank, m.value)
+	} else {
+		sends, done, err = op.state.Arrive(m.seq, m.rank)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("myrinet: node %d: %v", n.node.ID, err))
+	}
+	if op.state.Stale+op.state.Duplicates > staleBefore {
+		n.Stats.StaleColl++
+		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
+	} else {
+		op.nackRound = 0 // progress: the NACK rounds were not fruitless
+	}
+	c.sendAll(op, op.state.Seq(), sends)
+	if done {
+		c.complete(op, op.state.Seq())
+	}
 }
 
 func (c *collModule) complete(op *collOp, seq int) {
@@ -352,102 +369,96 @@ func (c *collModule) complete(op *collOp, seq int) {
 	}
 	n.traceEvent(int(op.group.ID), obs.KindComplete, int64(seq))
 	n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollComplete, 0)
-	n.exec(n.node.Prof.NIC.CollComplete, 0, func() {
-		n.postEvent(Event{Kind: EvBarrierDone, Group: int(op.group.ID), Seq: seq, Value: value})
-	})
+	t := n.node.task(taskCollComplete)
+	t.m = message{group: op.group.ID, seq: seq, value: value}
+	n.exec(n.node.Prof.NIC.CollComplete, 0, t)
 }
 
 // armNack starts the receiver-driven retransmission timer: if the
 // operation has not completed when it fires, NACK every sender whose
-// notification is missing and re-arm.
+// notification is missing and re-arm. The entry is the timer's event.
 func (c *collModule) armNack(op *collOp, seq int) {
 	if !op.state.Active() {
 		return
 	}
-	n := c.nic
-	timeout := n.node.Prof.NIC.NackTimeout
-	op.nackTimer = n.eng.After(timeout, func() {
-		if !op.state.Active() || op.state.Seq() != seq {
-			return
-		}
-		op.nackRound++
-		if n.OnNackStall != nil && op.nackRound >= nackStallRounds {
-			n.OnNackStall(op.group.ID, op.nackRound)
-			if op.frozen {
-				return // the stall hook aborted the group
-			}
-		}
-		for _, r := range op.state.Missing() {
-			dst := op.group.NodeOf(r)
-			payload := nackMsg{group: op.group.ID, seq: seq, wantRank: op.group.MyRank}
-			n.traceEvent(int(op.group.ID), obs.KindNack, int64(r))
-			n.traceTime(int(op.group.ID), n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed)
-			n.exec(n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed, func() {
-				n.net.Send(netsim.Packet{
-					Src:     n.node.ID,
-					Dst:     dst,
-					Size:    n.node.Prof.BarrierBytes,
-					Kind:    "barrier-nack",
-					Group:   int(op.group.ID),
-					Payload: payload,
-				})
-				n.Stats.NacksSent++
-			})
-		}
-		c.armNack(op, seq) // re-arm until the operation completes
-	})
+	op.nackSeq = seq
+	op.nackTimer = c.nic.eng.AfterEvent(c.nic.node.Prof.NIC.NackTimeout, op)
 }
 
-// onNack serves a retransmission request: if this rank already sent the
-// requested notification, fire it again from the static packet. Repeat
-// NACKs for the same notification escalate to a duplicated reply (see
-// collOp.nackServed).
-func (c *collModule) onNack(m nackMsg, fromNode int) {
+// Fire implements sim.Event: op's NACK timer expired.
+func (op *collOp) Fire() { op.mod.nackExpired(op) }
+
+// nackExpired runs one expiry of op's NACK timer.
+func (c *collModule) nackExpired(op *collOp) {
+	n := c.nic
+	seq := op.nackSeq
+	if !op.state.Active() || op.state.Seq() != seq {
+		return
+	}
+	op.nackRound++
+	if n.OnNackStall != nil && op.nackRound >= nackStallRounds {
+		n.OnNackStall(op.group.ID, op.nackRound)
+		if op.frozen {
+			return // the stall hook aborted the group
+		}
+	}
+	c.missing = op.state.AppendMissing(c.missing[:0])
+	for _, r := range c.missing {
+		t := n.node.task(taskNackSend)
+		t.m = message{typ: msgNack, peer: op.group.NodeOf(r), group: op.group.ID, seq: seq, rank: op.group.MyRank}
+		n.traceEvent(int(op.group.ID), obs.KindNack, int64(r))
+		n.traceTime(int(op.group.ID), n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed)
+		n.exec(n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed, t)
+	}
+	c.armNack(op, seq) // re-arm until the operation completes
+}
+
+// onNack queues a retransmission request for the firmware.
+func (c *collModule) onNack(m message) {
 	n := c.nic
 	n.traceTime(int(m.group), n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed)
-	n.exec(n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed, func() {
-		if _, gone := n.retired[m.group]; gone {
-			n.Stats.StaleColl++ // NACK for a drained, torn-down group
-			n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-			return
-		}
-		op := c.mustOp(m.group)
-		if op.frozen {
-			n.Stats.StaleColl++
-			n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-			return
-		}
-		n.Stats.NacksRecvd++
-		if !op.state.HasSent(m.seq, m.wantRank) {
-			return // not sent yet; the normal path will deliver it
-		}
-		if op.nackServed == nil {
-			op.nackServed = make(map[[2]int]int)
-		}
-		key := [2]int{m.seq, m.wantRank}
-		op.nackServed[key]++
-		copies := 1
-		if op.nackServed[key] > 1 {
-			copies = 2
-		}
-		payload := collPayload{
-			group: op.group.ID, seq: m.seq, fromRank: op.group.MyRank,
-			value: op.sendValue(m.seq, m.wantRank),
-		}
-		for i := 0; i < copies; i++ {
-			n.traceEvent(int(op.group.ID), obs.KindResend, int64(m.seq))
-			n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed)
-			n.exec(n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed, func() {
-				n.net.Send(netsim.Packet{
-					Src:     n.node.ID,
-					Dst:     fromNode,
-					Size:    n.node.Prof.BarrierBytes,
-					Kind:    "barrier-coll",
-					Group:   int(op.group.ID),
-					Payload: payload,
-				})
-				n.Stats.CollResent++
-			})
-		}
-	})
+	t := n.node.task(taskNackRecv)
+	t.m = m
+	n.exec(n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed, t)
+}
+
+// serveNack serves retransmission request m from node m.peer: if this
+// rank already sent the requested notification, fire it again from the
+// static packet. Repeat NACKs for the same notification escalate to a
+// duplicated reply (see collOp.nackServed).
+func (c *collModule) serveNack(m message) {
+	n := c.nic
+	if _, gone := n.retired[m.group]; gone {
+		n.Stats.StaleColl++ // NACK for a drained, torn-down group
+		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
+		return
+	}
+	op := c.mustOp(m.group)
+	if op.frozen {
+		n.Stats.StaleColl++
+		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
+		return
+	}
+	n.Stats.NacksRecvd++
+	if !op.state.HasSent(m.seq, m.rank) {
+		return // not sent yet; the normal path will deliver it
+	}
+	if op.nackServed == nil {
+		op.nackServed = make(map[[2]int]int)
+	}
+	key := [2]int{m.seq, m.rank}
+	op.nackServed[key]++
+	copies := 1
+	if op.nackServed[key] > 1 {
+		copies = 2
+	}
+	reply := op.notice(m.seq, m.rank)
+	reply.peer = m.peer
+	for i := 0; i < copies; i++ {
+		t := n.node.task(taskCollResend)
+		t.m = reply
+		n.traceEvent(int(op.group.ID), obs.KindResend, int64(m.seq))
+		n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed)
+		n.exec(n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed, t)
+	}
 }

@@ -27,10 +27,6 @@ type directOp struct {
 	frozen bool
 }
 
-func newDirectModule(n *NIC) *directModule {
-	return &directModule{nic: n, ops: make(map[core.GroupID]*directOp)}
-}
-
 func (d *directModule) has(id core.GroupID) bool {
 	_, ok := d.ops[id]
 	return ok
@@ -41,6 +37,9 @@ func (d *directModule) install(g *core.Group, sched barrier.Schedule) error {
 		return err
 	}
 	delete(d.nic.retired, g.ID)
+	if d.ops == nil { // made by the first install
+		d.ops = make(map[core.GroupID]*directOp)
+	}
 	d.ops[g.ID] = &directOp{group: g, state: core.NewOpState(sched)}
 	return nil
 }
@@ -57,22 +56,28 @@ func (d *directModule) start(id core.GroupID) {
 	op := d.mustOp(id)
 	n := d.nic
 	// The doorbell is translated like a regular send event.
-	n.exec(n.node.Prof.NIC.TokenTranslate, 0, func() {
-		if op.frozen {
-			n.Stats.StaleColl++
-			return
-		}
-		seq := op.nextSeq
-		op.nextSeq++
-		sends, done, err := op.state.Start(seq)
-		if err != nil {
-			panic(fmt.Sprintf("myrinet: node %d: %v", n.node.ID, err))
-		}
-		d.enqueueSends(op, seq, sends)
-		if done {
-			d.complete(op, seq)
-		}
-	})
+	t := n.node.task(taskDirectStart)
+	t.ref = op
+	n.exec(n.node.Prof.NIC.TokenTranslate, 0, t)
+}
+
+// begin runs the translated doorbell of op.
+func (d *directModule) begin(op *directOp) {
+	n := d.nic
+	if op.frozen {
+		n.Stats.StaleColl++
+		return
+	}
+	seq := op.nextSeq
+	op.nextSeq++
+	sends, done, err := op.state.Start(seq)
+	if err != nil {
+		panic(fmt.Sprintf("myrinet: node %d: %v", n.node.ID, err))
+	}
+	d.enqueueSends(op, seq, sends)
+	if done {
+		d.complete(op, seq)
+	}
 }
 
 // enqueueSends pushes one regular send token per notification into the
@@ -82,12 +87,14 @@ func (d *directModule) enqueueSends(op *directOp, seq int, ranks []int) {
 	n := d.nic
 	for _, r := range ranks {
 		n.Stats.TokensEnqueued++
-		n.enqueueToken(&sendToken{
-			dst:      op.group.NodeOf(r),
-			size:     8, // the barrier integer, NIC-generated
-			hostData: false,
-			barrier:  &collPayload{group: op.group.ID, seq: seq, fromRank: op.group.MyRank},
-		})
+		n.enqueueToken(sendToken{message: message{
+			typ:   msgDirect,
+			peer:  op.group.NodeOf(r),
+			size:  8, // the barrier integer, NIC-generated
+			group: op.group.ID,
+			seq:   seq,
+			rank:  op.group.MyRank,
+		}})
 	}
 	if len(ranks) > 0 {
 		n.kick()
@@ -96,35 +103,41 @@ func (d *directModule) enqueueSends(op *directOp, seq int, ranks []int) {
 
 // onArrive is called from the p2p receive path after the sequence check
 // accepted a barrier-tagged data packet.
-func (d *directModule) onArrive(m collPayload) {
+func (d *directModule) onArrive(m message) {
 	n := d.nic
-	n.exec(n.node.Prof.NIC.CollRecv, 0, func() {
-		if _, gone := n.retired[m.group]; gone {
-			n.Stats.StaleColl++ // p2p retransmit outlived the group
-			return
-		}
-		op := d.mustOp(m.group)
-		if op.frozen {
-			n.Stats.StaleColl++
-			return
-		}
-		sends, done, err := op.state.Arrive(m.seq, m.fromRank)
-		if err != nil {
-			panic(fmt.Sprintf("myrinet: node %d: %v", n.node.ID, err))
-		}
-		d.enqueueSends(op, op.state.Seq(), sends)
-		if done {
-			d.complete(op, op.state.Seq())
-		}
-	})
+	t := n.node.task(taskDirectRecv)
+	t.m = m
+	n.exec(n.node.Prof.NIC.CollRecv, 0, t)
+}
+
+// arrive runs the receive handler of notification m.
+func (d *directModule) arrive(m message) {
+	n := d.nic
+	if _, gone := n.retired[m.group]; gone {
+		n.Stats.StaleColl++ // p2p retransmit outlived the group
+		return
+	}
+	op := d.mustOp(m.group)
+	if op.frozen {
+		n.Stats.StaleColl++
+		return
+	}
+	sends, done, err := op.state.Arrive(m.seq, m.rank)
+	if err != nil {
+		panic(fmt.Sprintf("myrinet: node %d: %v", n.node.ID, err))
+	}
+	d.enqueueSends(op, op.state.Seq(), sends)
+	if done {
+		d.complete(op, op.state.Seq())
+	}
 }
 
 func (d *directModule) complete(op *directOp, seq int) {
 	n := d.nic
 	n.Stats.BarriersRun++
-	n.exec(n.node.Prof.NIC.CollComplete, 0, func() {
-		n.postEvent(Event{Kind: EvBarrierDone, Group: int(op.group.ID), Seq: seq})
-	})
+	t := n.node.task(taskDirectComplete)
+	t.m = message{group: op.group.ID, seq: seq}
+	n.exec(n.node.Prof.NIC.CollComplete, 0, t)
 }
 
 // --- NIC installation API (shared by both schemes) ---

@@ -9,64 +9,44 @@ import (
 	"nicbarrier/internal/sim"
 )
 
-// Wire payloads.
-
-// dataMsg is a GM data packet. Direct-scheme barrier messages ride the
-// same path with barrier set, which is exactly the redundancy the paper's
-// collective protocol removes.
-type dataMsg struct {
-	src, dst int
-	seq      uint32
-	size     int
-	tag      any
-	barrier  *collPayload // non-nil: direct-scheme barrier notification
-}
-
-// ackMsg acknowledges one data packet (sent from the receiver's static
-// ACK packet).
-type ackMsg struct {
-	src, dst int
-	seq      uint32
-}
-
-// collPayload is the one integer a barrier message carries, plus
-// addressing (group, operation sequence, sender rank). For allreduce
-// operations the integer is the sender's partial value; for barriers and
-// broadcasts it is unused.
-type collPayload struct {
-	group    core.GroupID
-	seq      int
-	fromRank int
-	value    int64
-}
-
-// nackMsg is the receiver-driven retransmission request of the collective
-// protocol: "I am wantRank in group; resend your operation-seq message".
-type nackMsg struct {
-	group    core.GroupID
-	seq      int
-	wantRank int
-}
-
-// sendToken is the NIC-side form of a send request (GM's "send token").
-type sendToken struct {
-	dst      int
-	size     int
-	tag      any
-	hostData bool
-	barrier  *collPayload
-}
-
-type recordKey struct {
-	dst int
-	seq uint32
-}
-
-// sendRecord is the per-packet bookkeeping entry of the p2p protocol; the
-// collective protocol replaces a set of these with one bit vector.
-type sendRecord struct {
-	pkt   netsim.Packet
+// sendBuf is one of the NIC's SendPacketPool send packet buffers. A
+// claimed buffer holds the send token it carries, by value, and once the
+// packet is injected it is also that packet's send record: the token
+// numbered with its sequence (from which the packet is rebuilt for
+// retransmission) and the ACK timeout, for which the buffer is itself
+// the sim.Event. The collective protocol replaces a set of these with
+// one bit vector.
+type sendBuf struct {
+	nic   *NIC
+	tok   sendToken
+	sent  bool // the send record is live: injected, not yet acknowledged
 	timer sim.Timer
+	next  *sendBuf // free-list link
+}
+
+// Fire implements sim.Event: the ACK timeout expired.
+func (b *sendBuf) Fire() { b.nic.retransmit(b) }
+
+// tokenQueue is one destination's FIFO of send tokens. It keeps its
+// storage when it drains, so a steady stream to one destination queues
+// without allocating.
+type tokenQueue struct {
+	toks []sendToken
+	head int
+}
+
+func (q *tokenQueue) empty() bool { return q.head == len(q.toks) }
+
+// push appends t, first sliding the queued tokens down over the
+// dequeued ones when the storage is full, so a queue that never drains
+// does not grow with every token it has ever held.
+func (q *tokenQueue) push(t sendToken) {
+	if q.head > 0 && len(q.toks) == cap(q.toks) {
+		n := copy(q.toks, q.toks[q.head:])
+		clear(q.toks[n:])
+		q.toks, q.head = q.toks[:n], 0
+	}
+	q.toks = append(q.toks, t)
 }
 
 // NICStats counts NIC-level protocol activity; experiments and tests read
@@ -104,20 +84,24 @@ type NIC struct {
 	net  *netsim.Network
 
 	// p2p send side.
-	queues      map[int][]*sendToken
+	queues      map[int]*tokenQueue
 	rr          []int // destinations with queued tokens, sorted
 	lastDst     int   // round-robin cursor over the destination space
 	dispatching bool
 	freePackets int
+	freeBufs    *sendBuf   // released buffers, reused before new ones
+	bufs        []*sendBuf // every buffer allocated so far (at most SendPacketPool)
 	nextSeq     map[int]uint32
-	records     map[recordKey]*sendRecord
 
 	// p2p receive side.
 	expectSeq  map[int]uint32
 	recvTokens int
 
-	coll   *collModule
-	direct *directModule
+	// The point-to-point maps above are made on first use: NICs that
+	// only run the collective protocol never touch them.
+
+	coll   collModule
+	direct directModule
 
 	// retired remembers recently uninstalled group IDs (keyed to their
 	// teardown time) so that late traffic — NACK-resent duplicates that
@@ -169,32 +153,14 @@ func newNIC(eng *sim.Engine, node *Node, net *netsim.Network) *NIC {
 		proc:        proc{eng: eng, clockMHz: node.Prof.NIC.ClockMHz},
 		node:        node,
 		net:         net,
-		queues:      make(map[int][]*sendToken),
 		freePackets: node.Prof.NIC.SendPacketPool,
-		nextSeq:     make(map[int]uint32),
-		records:     make(map[recordKey]*sendRecord),
-		expectSeq:   make(map[int]uint32),
 	}
-	n.coll = newCollModule(n)
-	n.direct = newDirectModule(n)
+	n.coll.nic = n
+	n.direct.nic = n
 	return n
 }
 
 // --- doorbell handlers (arrive over PCI from the host) ---
-
-func (n *NIC) onSendDoorbell(tok *sendToken) {
-	n.exec(n.node.Prof.NIC.TokenTranslate, 0, func() {
-		n.Stats.TokensEnqueued++
-		n.enqueueToken(tok)
-		n.kick()
-	})
-}
-
-func (n *NIC) onTokenPost() {
-	n.exec(n.node.Prof.NIC.TokenPost, 0, func() {
-		n.recvTokens++
-	})
-}
 
 func (n *NIC) onBarrierDoorbell(groupID int, value int64) {
 	n.traceEvent(groupID, obs.KindDoorbell, value)
@@ -211,31 +177,38 @@ func (n *NIC) onBarrierDoorbell(groupID int, value int64) {
 
 // --- p2p send pipeline ---
 
-func (n *NIC) enqueueToken(t *sendToken) {
-	q := n.queues[t.dst]
-	if len(q) == 0 {
+func (n *NIC) enqueueToken(t sendToken) {
+	q := n.queues[t.peer]
+	if q == nil {
+		if n.queues == nil {
+			n.queues = make(map[int]*tokenQueue)
+		}
+		q = &tokenQueue{}
+		n.queues[t.peer] = q
+	}
+	if q.empty() {
 		// Insert into the sorted pending-destination ring.
 		pos := len(n.rr)
 		for i, d := range n.rr {
-			if d > t.dst {
+			if d > t.peer {
 				pos = i
 				break
 			}
 		}
 		n.rr = append(n.rr, 0)
 		copy(n.rr[pos+1:], n.rr[pos:])
-		n.rr[pos] = t.dst
+		n.rr[pos] = t.peer
 	}
-	n.queues[t.dst] = append(q, t)
+	q.push(t)
 }
 
 // nextToken dequeues round-robin across destination queues (Section 4.2:
 // "the NIC processes the tokens to different destinations in a
 // round-robin manner"). The cursor cycles the destination space, so after
 // serving destination d the next pending destination above d goes first.
-func (n *NIC) nextToken() *sendToken {
+func (n *NIC) nextToken() (sendToken, bool) {
 	if len(n.rr) == 0 {
-		return nil
+		return sendToken{}, false
 	}
 	pos := 0 // wrap-around default: smallest pending destination
 	for i, d := range n.rr {
@@ -247,14 +220,34 @@ func (n *NIC) nextToken() *sendToken {
 	dst := n.rr[pos]
 	n.lastDst = dst
 	q := n.queues[dst]
-	tok := q[0]
-	if len(q) == 1 {
-		delete(n.queues, dst)
+	tok := q.toks[q.head]
+	q.toks[q.head] = sendToken{} // drop the tag reference
+	q.head++
+	if q.empty() {
+		q.toks, q.head = q.toks[:0], 0
 		n.rr = append(n.rr[:pos], n.rr[pos+1:]...)
-	} else {
-		n.queues[dst] = q[1:]
 	}
-	return tok
+	return tok, true
+}
+
+// claimBuf takes a free send packet buffer for tok.
+func (n *NIC) claimBuf(tok sendToken) *sendBuf {
+	b := n.freeBufs
+	if b == nil {
+		b = &sendBuf{nic: n}
+		n.bufs = append(n.bufs, b)
+	} else {
+		n.freeBufs = b.next
+		b.next = nil
+	}
+	b.tok = tok
+	return b
+}
+
+// releaseBuf returns an acknowledged buffer to the free list.
+func (n *NIC) releaseBuf(b *sendBuf) {
+	*b = sendBuf{nic: n, next: n.freeBufs}
+	n.freeBufs = b
 }
 
 // kick advances the send pipeline: one token at a time goes through
@@ -266,169 +259,205 @@ func (n *NIC) kick() {
 	if n.freePackets == 0 {
 		return // stalls until an ACK frees a packet buffer
 	}
-	tok := n.nextToken()
-	if tok == nil {
+	tok, ok := n.nextToken()
+	if !ok {
 		return
 	}
 	n.dispatching = true
 	n.freePackets--
 	p := n.node.Prof.NIC
-	n.exec(p.TokenSchedule+p.PacketClaim, 0, func() { n.fillPacket(tok) })
+	t := n.node.task(taskClaimed)
+	t.ref = n.claimBuf(tok)
+	n.exec(p.TokenSchedule+p.PacketClaim, 0, t)
 }
 
-func (n *NIC) fillPacket(tok *sendToken) {
-	if tok.hostData && tok.size > 0 {
-		n.node.Bus.DMA(tok.size, func() { n.injectData(tok) })
+func (n *NIC) fillPacket(b *sendBuf) {
+	if b.tok.hostData && b.tok.size > 0 {
+		t := n.node.task(taskFillLanded)
+		t.ref = b
+		n.node.Bus.DMA(b.tok.size, t)
 		return
 	}
-	n.injectData(tok)
+	n.injectData(b)
 }
 
-func (n *NIC) injectData(tok *sendToken) {
+func (n *NIC) injectData(b *sendBuf) {
 	p := n.node.Prof.NIC
-	n.exec(p.PacketFill+p.SendRecord, p.SendFixed, func() {
-		seq := n.nextSeq[tok.dst]
-		n.nextSeq[tok.dst] = seq + 1
-		kind := "data"
-		group := 0
-		if tok.barrier != nil {
-			kind = "barrier-direct"
-			group = int(tok.barrier.group)
-		}
-		pkt := netsim.Packet{
-			Src:   n.node.ID,
-			Dst:   tok.dst,
-			Size:  tok.size + n.node.Prof.DataHeaderBytes,
-			Kind:  kind,
-			Group: group,
-			Payload: dataMsg{
-				src: n.node.ID, dst: tok.dst, seq: seq,
-				size: tok.size, tag: tok.tag, barrier: tok.barrier,
-			},
-		}
-		key := recordKey{tok.dst, seq}
-		rec := &sendRecord{pkt: pkt}
-		n.records[key] = rec
-		rec.timer = n.eng.After(p.RetransmitTimeout, func() { n.retransmit(key) })
-		n.net.Send(pkt)
-		n.Stats.DataSent++
-		n.dispatching = false
-		n.kick()
-	})
+	t := n.node.task(taskInject)
+	t.ref = b
+	n.exec(p.PacketFill+p.SendRecord, p.SendFixed, t)
 }
 
-func (n *NIC) retransmit(key recordKey) {
-	rec, ok := n.records[key]
-	if !ok {
+// inject numbers the filled packet, records it for retransmission and
+// puts it on the wire.
+func (n *NIC) inject(b *sendBuf) {
+	if n.nextSeq == nil {
+		n.nextSeq = make(map[int]uint32)
+	}
+	dst := b.tok.peer
+	b.tok.wire = n.nextSeq[dst]
+	n.nextSeq[dst] = b.tok.wire + 1
+	b.sent = true
+	b.timer = n.eng.AfterEvent(n.node.Prof.NIC.RetransmitTimeout, b)
+	n.net.Send(n.dataPacket(&b.tok))
+	n.Stats.DataSent++
+	n.dispatching = false
+	n.kick()
+}
+
+// dataPacket is the GM data packet carrying the numbered token tok.
+func (n *NIC) dataPacket(tok *sendToken) netsim.Packet {
+	kind := "data"
+	group := 0
+	if tok.typ == msgDirect {
+		kind = "barrier-direct"
+		group = int(tok.group)
+	}
+	return netsim.Packet{
+		Src:     n.node.ID,
+		Dst:     tok.peer,
+		Size:    tok.size + n.node.Prof.DataHeaderBytes,
+		Kind:    kind,
+		Group:   group,
+		Hdr:     tok.header(),
+		Payload: tok.tag,
+	}
+}
+
+func (n *NIC) retransmit(b *sendBuf) {
+	if !b.sent {
 		return
 	}
 	p := n.node.Prof.NIC
 	n.Stats.Retransmits++
-	n.exec(p.SendRecord, p.SendFixed, func() {
-		// The packet buffer is still held (not released until ACK), so
-		// retransmission is a re-injection.
-		if _, live := n.records[key]; !live {
-			return // ACK raced the retransmit handler
-		}
-		n.net.Send(rec.pkt)
-		rec.timer = n.eng.After(p.RetransmitTimeout, func() { n.retransmit(key) })
-	})
+	t := n.node.task(taskRetransmit)
+	t.ref, t.m.peer, t.m.wire = b, b.tok.peer, b.tok.wire
+	n.exec(p.SendRecord, p.SendFixed, t)
+}
+
+// reinject re-sends the packet b recorded as (m.peer, m.wire). The
+// packet buffer is still held (not released until ACK), so
+// retransmission is a re-injection.
+func (n *NIC) reinject(b *sendBuf, m message) {
+	if !b.sent || b.tok.peer != m.peer || b.tok.wire != m.wire {
+		return // ACK raced the retransmit handler
+	}
+	n.net.Send(n.dataPacket(&b.tok))
+	b.timer = n.eng.AfterEvent(n.node.Prof.NIC.RetransmitTimeout, b)
 }
 
 // --- receive path ---
 
 func (n *NIC) onPacket(pkt netsim.Packet) {
-	switch m := pkt.Payload.(type) {
-	case dataMsg:
-		n.onData(m)
-	case ackMsg:
-		n.onAck(m)
-	case collPayload:
+	m := received(pkt, n.node.Prof.DataHeaderBytes)
+	p := n.node.Prof.NIC
+	switch m.typ {
+	case msgData, msgHostBarrier, msgDirect:
+		t := n.node.task(taskData)
+		t.m, t.ref = m, pkt.Payload
+		n.exec(p.SeqCheck, p.RecvFixed, t)
+	case msgAck:
+		t := n.node.task(taskAck)
+		t.m = m
+		n.exec(p.AckProcess, p.RecvFixed, t)
+	case msgColl:
 		n.coll.onMsg(m)
-	case nackMsg:
-		n.coll.onNack(m, pkt.Src)
-	case core.Heartbeat:
+	case msgNack:
+		n.coll.onNack(m)
+	case msgHeartbeat:
 		// Keepalive filtering is a header compare in the firmware's
 		// receive fast path; its cost is negligible next to a handler
 		// dispatch, so none is charged.
 		n.Stats.HeartbeatsRecvd++
 		if n.OnHeartbeat != nil {
-			n.OnHeartbeat(m.Group, m.Rank)
+			n.OnHeartbeat(m.group, m.rank)
 		}
 	default:
-		panic(fmt.Sprintf("myrinet: node %d: unknown payload %T", n.node.ID, pkt.Payload))
+		panic(fmt.Sprintf("myrinet: node %d: unknown message type %d", n.node.ID, m.typ))
 	}
 }
 
-func (n *NIC) onData(m dataMsg) {
-	p := n.node.Prof.NIC
-	n.exec(p.SeqCheck, p.RecvFixed, func() {
-		if m.seq != n.expectSeq[m.src] {
-			// "An unexpected packet is dropped immediately."
-			n.Stats.SeqDrops++
-			return
-		}
-		if m.barrier != nil {
-			n.expectSeq[m.src] = m.seq + 1
-			n.sendAck(m)
-			n.direct.onArrive(*m.barrier)
-			return
-		}
-		if n.recvTokens == 0 {
-			// No posted receive buffer: drop without bumping the
-			// sequence; the sender's timeout recovers.
-			n.Stats.TokenDrops++
-			return
-		}
-		n.recvTokens--
-		n.expectSeq[m.src] = m.seq + 1
-		n.exec(p.RecvTokenMatch, 0, func() {
-			n.node.Bus.DMA(m.size, func() {
-				n.sendAck(m)
-				n.postEvent(Event{Kind: EvRecv, FromNode: m.src, Tag: m.tag})
-			})
-		})
-	})
+// checkData runs the sequence check on an arrived data packet; tag is
+// its application tag.
+func (n *NIC) checkData(m message, tag any) {
+	if m.wire != n.expectSeq[m.peer] {
+		// "An unexpected packet is dropped immediately."
+		n.Stats.SeqDrops++
+		return
+	}
+	if m.typ == msgDirect {
+		n.accept(m)
+		n.sendAck(m)
+		n.direct.onArrive(m)
+		return
+	}
+	if n.recvTokens == 0 {
+		// No posted receive buffer: drop without bumping the
+		// sequence; the sender's timeout recovers.
+		n.Stats.TokenDrops++
+		return
+	}
+	n.recvTokens--
+	n.accept(m)
+	t := n.node.task(taskDataMatched)
+	t.m, t.ref = m, tag
+	n.exec(n.node.Prof.NIC.RecvTokenMatch, 0, t)
+}
+
+// accept advances the expected sequence number past data packet m.
+func (n *NIC) accept(m message) {
+	if n.expectSeq == nil {
+		n.expectSeq = make(map[int]uint32)
+	}
+	n.expectSeq[m.peer] = m.wire + 1
 }
 
 // sendAck replies from the NIC's static ACK packet (no claim/fill cycle) —
 // the very packet the collective protocol pads with an integer to carry
 // barrier notifications.
-func (n *NIC) sendAck(m dataMsg) {
+func (n *NIC) sendAck(m message) {
 	p := n.node.Prof.NIC
-	group := 0
-	if m.barrier != nil {
-		group = int(m.barrier.group)
+	ack := message{typ: msgAck, peer: m.peer, wire: m.wire}
+	if m.typ == msgDirect {
+		ack.group = m.group
 	}
-	n.exec(p.AckBuild, p.SendFixed, func() {
-		n.net.Send(netsim.Packet{
-			Src:     n.node.ID,
-			Dst:     m.src,
-			Size:    n.node.Prof.AckBytes,
-			Kind:    "ack",
-			Group:   group,
-			Payload: ackMsg{src: n.node.ID, dst: m.src, seq: m.seq},
-		})
-		n.Stats.AcksSent++
-	})
+	t := n.node.task(taskAckSend)
+	t.m = ack
+	n.exec(p.AckBuild, p.SendFixed, t)
 }
 
-func (n *NIC) onAck(m ackMsg) {
-	p := n.node.Prof.NIC
-	n.exec(p.AckProcess, p.RecvFixed, func() {
-		key := recordKey{m.src, m.seq}
-		rec, ok := n.records[key]
-		if !ok {
-			n.Stats.DupAcks++ // retransmission already acked
-			return
+// ack processes an arrived ACK for the packet (m.peer, m.wire).
+func (n *NIC) ack(m message) {
+	var b *sendBuf
+	for _, c := range n.bufs {
+		if c.sent && c.tok.peer == m.peer && c.tok.wire == m.wire {
+			b = c
+			break
 		}
-		rec.timer.Cancel()
-		delete(n.records, key)
-		n.freePackets++
-		n.Stats.AcksRecv++
-		// GM passes the send token back to the host.
-		n.postEvent(Event{Kind: EvSendDone})
-		n.kick()
+	}
+	if b == nil {
+		n.Stats.DupAcks++ // retransmission already acked
+		return
+	}
+	b.timer.Cancel()
+	n.releaseBuf(b)
+	n.freePackets++
+	n.Stats.AcksRecv++
+	// GM passes the send token back to the host.
+	n.postEvent(EvSendDone, message{}, nil)
+	n.kick()
+}
+
+// sendStatic injects m from the static packet: a collective
+// notification or a NACK.
+func (n *NIC) sendStatic(m message, kind string) {
+	n.net.Send(netsim.Packet{
+		Src:   n.node.ID,
+		Dst:   m.peer,
+		Size:  n.node.Prof.BarrierBytes,
+		Kind:  kind,
+		Group: int(m.group),
+		Hdr:   m.header(),
 	})
 }
 
@@ -440,23 +469,21 @@ func (n *NIC) onAck(m ackMsg) {
 // runs with recovery enabled.
 func (n *NIC) SendHeartbeat(group core.GroupID, fromRank, dstNode int) {
 	n.net.Send(netsim.Packet{
-		Src:     n.node.ID,
-		Dst:     dstNode,
-		Size:    8,
-		Kind:    "heartbeat",
-		Group:   int(group),
-		Payload: core.Heartbeat{Group: group, Rank: fromRank},
+		Src:   n.node.ID,
+		Dst:   dstNode,
+		Size:  8,
+		Kind:  "heartbeat",
+		Group: int(group),
+		Hdr:   netsim.Header{Type: msgHeartbeat, Rank: int32(fromRank)},
 	})
 	n.Stats.HeartbeatsSent++
 }
 
-// postEvent DMAs an event record into host memory for the host to poll.
-func (n *NIC) postEvent(ev Event) {
-	p := n.node.Prof.NIC
-	n.exec(p.EventPost, 0, func() {
-		n.Stats.EventsPosted++
-		n.node.Bus.DMA(n.node.Prof.EventBytes, func() {
-			n.node.Host.deliver(ev)
-		})
-	})
+// postEvent DMAs an event record of kind k into host memory for the
+// host to poll; m carries its fields and tag an EvRecv's application
+// tag.
+func (n *NIC) postEvent(k EventKind, m message, tag any) {
+	t := n.node.task(taskEventPost)
+	t.ev, t.m, t.ref = k, m, tag
+	n.exec(n.node.Prof.NIC.EventPost, 0, t)
 }

@@ -20,6 +20,7 @@ package myrinet
 import (
 	"fmt"
 
+	"nicbarrier/internal/core"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/pci"
@@ -35,22 +36,22 @@ type proc struct {
 	busyUntil sim.Time
 }
 
-// exec schedules fn after the processor has finished its current backlog
+// exec fires ev after the processor has finished its current backlog
 // plus cycles of work plus a fixed latency; the processor is held busy for
 // the whole span.
-func (p *proc) exec(cycles int64, fixed sim.Duration, fn func()) {
+func (p *proc) exec(cycles int64, fixed sim.Duration, ev sim.Event) {
 	start := p.eng.Now()
 	if p.busyUntil > start {
 		start = p.busyUntil
 	}
 	done := start.Add(sim.Cycles(cycles, p.clockMHz)).Add(fixed)
 	p.busyUntil = done
-	p.eng.Schedule(done, fn)
+	p.eng.ScheduleEvent(done, ev)
 }
 
 // EventKind classifies host events (the records the NIC DMAs into host
 // memory for the host to poll).
-type EventKind int
+type EventKind uint8
 
 // Host event kinds.
 const (
@@ -64,8 +65,9 @@ type Event struct {
 	Kind     EventKind
 	FromNode int   // EvRecv: sender node
 	Tag      any   // EvRecv: application tag
-	Group    int   // EvBarrierDone: group ID
-	Seq      int   // EvBarrierDone: operation sequence
+	Barrier  bool  // EvRecv: a host-scheme barrier message, tagged by Group and Seq
+	Group    int   // EvBarrierDone, and EvRecv with Barrier: group ID
+	Seq      int   // EvBarrierDone, and EvRecv with Barrier: operation sequence
 	Value    int64 // EvBarrierDone: allreduce result, when applicable
 }
 
@@ -76,6 +78,10 @@ type Node struct {
 	Bus  *pci.Bus
 	Host *Host
 	NIC  *NIC
+
+	// tasks is the cluster-wide pool the node's handler records come
+	// from.
+	tasks *taskPool
 }
 
 // Host models the host CPU side of GM.
@@ -133,19 +139,21 @@ func eventGroup(ev Event) (int, bool) {
 	case EvBarrierDone:
 		return ev.Group, true
 	case EvRecv:
-		if tag, ok := ev.Tag.(hostBarrierTag); ok {
-			return int(tag.group), true
+		if ev.Barrier {
+			return ev.Group, true
 		}
 	}
 	return 0, false
 }
 
-// NewNode builds a node attached to net.
-func NewNode(eng *sim.Engine, id int, prof *hwprofile.MyrinetProfile, net *netsim.Network) *Node {
+// newNode builds a node attached to net whose handler records come from
+// tasks.
+func newNode(eng *sim.Engine, id int, prof *hwprofile.MyrinetProfile, net *netsim.Network, tasks *taskPool) *Node {
 	n := &Node{
-		ID:   id,
-		Prof: prof,
-		Bus:  pci.New(eng, prof.PCI),
+		ID:    id,
+		Prof:  prof,
+		Bus:   pci.New(eng, prof.PCI),
+		tasks: tasks,
 	}
 	n.Host = &Host{
 		proc: proc{eng: eng, clockMHz: prof.Host.ClockMHz},
@@ -156,56 +164,55 @@ func NewNode(eng *sim.Engine, id int, prof *hwprofile.MyrinetProfile, net *netsi
 	return n
 }
 
-// deliver hands a DMAed event record to the host, charging the host's
-// poll-and-consume cost before the handler sees it. Group-addressed
-// events go to their bound handler; everything else (and events for
-// unbound groups) falls through to OnEvent. Routing is free in virtual
-// time — it models the host poll loop demultiplexing its event queue.
-func (h *Host) deliver(ev Event) {
-	h.exec(h.node.Prof.Host.RecvPollCycles, 0, func() {
-		if gid, ok := eventGroup(ev); ok {
-			if fn := h.groupHandlers[gid]; fn != nil {
-				fn(ev)
-				return
-			}
+// deliver hands a DMAed event record (carried by t) to the host,
+// charging the host's poll-and-consume cost before the handler sees it.
+// Group-addressed events go to their bound handler; everything else (and
+// events for unbound groups) falls through to OnEvent. Routing is free
+// in virtual time — it models the host poll loop demultiplexing its
+// event queue.
+func (h *Host) deliver(t *task) {
+	t.kind = taskHostDeliver
+	h.exec(h.node.Prof.Host.RecvPollCycles, 0, t)
+}
+
+// dispatch routes a polled event to its consumer.
+func (h *Host) dispatch(ev Event) {
+	if gid, ok := eventGroup(ev); ok {
+		if fn := h.groupHandlers[gid]; fn != nil {
+			fn(ev)
+			return
 		}
-		if h.OnEvent != nil {
-			h.OnEvent(ev)
-		}
-	})
+	}
+	if h.OnEvent != nil {
+		h.OnEvent(ev)
+	}
 }
 
 // Send posts one GM send: host builds the descriptor, rings the doorbell
 // over PCI, and the NIC takes over. hostData selects whether the payload
 // lives in host memory (true: the NIC must DMA it into the send packet).
 func (h *Host) Send(dst, size int, tag any, hostData bool) {
-	if dst == h.node.ID {
+	h.send(sendToken{message: message{typ: msgData, peer: dst, size: size, hostData: hostData}, tag: tag})
+}
+
+// send posts the GM send described by tok.
+func (h *Host) send(tok sendToken) {
+	if tok.peer == h.node.ID {
 		panic("myrinet: self-send not modeled")
 	}
-	if size < 0 {
-		panic(fmt.Sprintf("myrinet: negative send size %d", size))
+	if tok.size < 0 {
+		panic(fmt.Sprintf("myrinet: negative send size %d", tok.size))
 	}
-	h.exec(h.node.Prof.Host.SendPostCycles, 0, func() {
-		h.node.Bus.PIOWrite(func() {
-			h.node.NIC.onSendDoorbell(&sendToken{
-				dst:      dst,
-				size:     size,
-				tag:      tag,
-				hostData: hostData,
-			})
-		})
-	})
+	t := h.node.task(taskHostSend)
+	t.carry(tok)
+	h.exec(h.node.Prof.Host.SendPostCycles, 0, t)
 }
 
 // PostRecvTokens replenishes k receive buffers, one PIO each (GM posts
 // each receive buffer separately).
 func (h *Host) PostRecvTokens(k int) {
 	for i := 0; i < k; i++ {
-		h.exec(h.node.Prof.Host.TokenPostCycles, 0, func() {
-			h.node.Bus.PIOWrite(func() {
-				h.node.NIC.onTokenPost()
-			})
-		})
+		h.exec(h.node.Prof.Host.TokenPostCycles, 0, h.node.task(taskHostTokenPost))
 	}
 }
 
@@ -213,20 +220,15 @@ func (h *Host) PostRecvTokens(k int) {
 // group (collective scheme or direct scheme, fixed per group at install
 // time). Completion arrives as an EvBarrierDone host event.
 func (h *Host) PostBarrier(groupID int) {
-	h.exec(h.node.Prof.Host.SendPostCycles, 0, func() {
-		h.node.Bus.PIOWrite(func() {
-			h.node.NIC.onBarrierDoorbell(groupID, 0)
-		})
-	})
+	h.PostReduce(groupID, 0)
 }
 
 // PostReduce initiates a NIC-based allreduce on a group installed with
 // InstallReduceGroup, contributing value. The EvBarrierDone completion
 // event carries the combined result.
 func (h *Host) PostReduce(groupID int, value int64) {
-	h.exec(h.node.Prof.Host.SendPostCycles, 0, func() {
-		h.node.Bus.PIOWrite(func() {
-			h.node.NIC.onBarrierDoorbell(groupID, value)
-		})
-	})
+	t := h.node.task(taskHostBarrierPost)
+	t.m.group = core.GroupID(groupID)
+	t.m.value = value
+	h.exec(h.node.Prof.Host.SendPostCycles, 0, t)
 }

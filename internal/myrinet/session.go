@@ -65,12 +65,6 @@ type member struct {
 	hostOp *core.OpState
 }
 
-// hostBarrierTag tags host-scheme barrier messages on the wire.
-type hostBarrierTag struct {
-	group core.GroupID
-	seq   int
-}
-
 // SessionGroupID is the group ID single-session constructors install,
 // mirroring MPI_COMM_WORLD. Multi-group callers pass their own IDs via
 // the WithID constructors.
@@ -264,10 +258,12 @@ func (s *Session) start(rank, seq int) {
 	}
 }
 
+// hostSend posts one GM send per notification, each tagged with the
+// group and operation it belongs to.
 func (m *member) hostSend(seq int, ranks []int) {
 	for _, r := range ranks {
-		m.node.Host.Send(m.group.NodeOf(r), 8,
-			hostBarrierTag{group: m.group.ID, seq: seq}, true)
+		m.node.Host.send(sendToken{message: message{typ: msgHostBarrier, hostData: true,
+			peer: m.group.NodeOf(r), size: 8, group: m.group.ID, seq: seq}})
 	}
 }
 
@@ -277,8 +273,7 @@ func (m *member) onEvent(ev Event) {
 		m.s.Record(m.rank, ev.Seq, ev.Value)
 		m.s.Complete(m.rank, ev.Seq)
 	case EvRecv:
-		tag, ok := ev.Tag.(hostBarrierTag)
-		if !ok {
+		if !ev.Barrier {
 			return // not barrier traffic; ignore
 		}
 		// Replenish the receive buffer consumed by this message.
@@ -287,7 +282,7 @@ func (m *member) onEvent(ev Event) {
 		if !ok {
 			panic(fmt.Sprintf("myrinet: barrier message from non-member node %d", ev.FromNode))
 		}
-		sends, done, err := m.hostOp.Arrive(tag.seq, fromRank)
+		sends, done, err := m.hostOp.Arrive(ev.Seq, fromRank)
 		if err != nil {
 			panic(fmt.Sprintf("myrinet: rank %d: %v", m.rank, err))
 		}

@@ -37,8 +37,27 @@ type Packet struct {
 	// static packet header by the collective protocol (0: ungrouped p2p
 	// traffic). The network itself never dispatches on it; it exists so
 	// impairments and accounting can tell concurrent tenants apart.
-	Group   int
+	Group int
+	// Hdr holds the protocol words the NIC firmware reads from the
+	// packet header.
+	Hdr Header
+	// Payload is opaque application data (a GM send's tag); protocol
+	// traffic leaves it nil.
 	Payload any
+}
+
+// Header is the fixed-format protocol header of a packet: the padded
+// static packet of the collective protocol, which carries one integer
+// and its addressing instead of a boxed message. Each NIC model defines
+// its own message types and reads the words by type; the network never
+// interprets them.
+type Header struct {
+	Value int64  // the carried integer (an allreduce partial)
+	Seq   int32  // collective operation sequence (hardware barrier round)
+	Rank  int32  // sending rank, or the rank a NACK asks about
+	Tag   int32  // host-level tag on point-to-point data (a host barrier's group)
+	Wire  uint32 // point-to-point packet sequence number
+	Type  uint8  // NIC-model message type
 }
 
 // Params fixes the physical constants of a network.

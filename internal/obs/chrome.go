@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 )
 
 // Chrome trace-event export: the JSON-object form ({"traceEvents":
@@ -76,7 +78,9 @@ func category(k Kind) string {
 
 // WriteChrome streams the tracer's retained records as Chrome
 // trace-event JSON. Call it only after the traced simulations have
-// finished.
+// finished. Scopes are numbered (pid) and written in name order, scopes
+// of one name in creation order, so concurrent sweeps that create their
+// scopes in a racy order still write the same file.
 func (tr *Tracer) WriteChrome(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
@@ -97,19 +101,22 @@ func (tr *Tracer) WriteChrome(w io.Writer) error {
 		_, err = bw.Write(raw)
 		return err
 	}
-	for _, sc := range tr.Scopes() {
-		if err := emit(chromeEvent{Name: "process_name", Ph: "M", Pid: sc.pid,
+	scopes := tr.Scopes()
+	slices.SortStableFunc(scopes, func(a, b *Scope) int { return strings.Compare(a.name, b.name) })
+	for i, sc := range scopes {
+		pid := i + 1
+		if err := emit(chromeEvent{Name: "process_name", Ph: "M", Pid: pid,
 			Args: map[string]any{"name": sc.name}}); err != nil {
 			return err
 		}
 		for _, t := range sc.allTracks() {
-			if err := emit(chromeEvent{Name: "thread_name", Ph: "M", Pid: sc.pid, Tid: t.tid,
+			if err := emit(chromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: t.tid,
 				Args: map[string]any{"name": t.name}}); err != nil {
 				return err
 			}
 			recs := t.ring.snapshot()
 			for i := range recs {
-				if err := emit(recs[i].chromeEvent(sc.pid, t.tid)); err != nil {
+				if err := emit(recs[i].chromeEvent(pid, t.tid)); err != nil {
 					return err
 				}
 			}

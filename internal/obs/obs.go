@@ -235,7 +235,6 @@ type Scope struct {
 
 	tr   *Tracer
 	name string
-	pid  int
 	tids int
 
 	engine  *Track
@@ -490,7 +489,7 @@ func NewTracerSize(perTrack int) *Tracer {
 func (tr *Tracer) NewScope(name string) *Scope {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	s := &Scope{tr: tr, name: name, pid: len(tr.scopes) + 1}
+	s := &Scope{tr: tr, name: name}
 	s.metroEvery = tr.metroEvery
 	tr.scopes = append(tr.scopes, s)
 	return s

@@ -72,20 +72,20 @@ func (b *Bus) acquire(d sim.Duration) sim.Time {
 	return done
 }
 
-// PIOWrite performs one programmed-I/O write and runs fn when it has
+// PIOWrite performs one programmed-I/O write and fires ev when it has
 // landed on the NIC.
-func (b *Bus) PIOWrite(fn func()) {
-	if fn == nil {
+func (b *Bus) PIOWrite(ev sim.Event) {
+	if ev == nil {
 		panic("pci: nil completion")
 	}
 	b.counters.PIOWrites++
-	b.eng.Schedule(b.acquire(b.params.PIOWrite), fn)
+	b.eng.ScheduleEvent(b.acquire(b.params.PIOWrite), ev)
 }
 
 // DMA moves bytes across the bus (either direction; the model is
-// symmetric) and runs fn at completion.
-func (b *Bus) DMA(bytes int, fn func()) {
-	if fn == nil {
+// symmetric) and fires ev at completion.
+func (b *Bus) DMA(bytes int, ev sim.Event) {
+	if ev == nil {
 		panic("pci: nil completion")
 	}
 	if bytes < 0 {
@@ -94,5 +94,5 @@ func (b *Bus) DMA(bytes int, fn func()) {
 	b.counters.DMAs++
 	b.counters.DMABytes += uint64(bytes)
 	d := b.params.DMASetup + sim.BytesAt(int64(bytes), b.params.BandwidthMBps)
-	b.eng.Schedule(b.acquire(d), fn)
+	b.eng.ScheduleEvent(b.acquire(d), ev)
 }

@@ -6,6 +6,11 @@ import (
 	"nicbarrier/internal/sim"
 )
 
+// fire adapts a test callback to sim.Event.
+type fire func()
+
+func (f fire) Fire() { f() }
+
 func testBus(eng *sim.Engine) *Bus {
 	return New(eng, Params{
 		PIOWrite:      sim.Nanos(400),
@@ -18,7 +23,7 @@ func TestPIOWriteLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	bus := testBus(eng)
 	var done sim.Time
-	bus.PIOWrite(func() { done = eng.Now() })
+	bus.PIOWrite(fire(func() { done = eng.Now() }))
 	eng.Run()
 	if done != 400 {
 		t.Fatalf("PIO completion at %v, want 400ns", done)
@@ -29,7 +34,7 @@ func TestDMALatency(t *testing.T) {
 	eng := sim.NewEngine()
 	bus := testBus(eng)
 	var done sim.Time
-	bus.DMA(528, func() { done = eng.Now() }) // 528B at 528MB/s = 1000ns
+	bus.DMA(528, fire(func() { done = eng.Now() })) // 528B at 528MB/s = 1000ns
 	eng.Run()
 	if done != 1600 {
 		t.Fatalf("DMA completion at %v, want 1600ns", done)
@@ -40,7 +45,7 @@ func TestZeroByteDMA(t *testing.T) {
 	eng := sim.NewEngine()
 	bus := testBus(eng)
 	var done sim.Time
-	bus.DMA(0, func() { done = eng.Now() })
+	bus.DMA(0, fire(func() { done = eng.Now() }))
 	eng.Run()
 	if done != 600 {
 		t.Fatalf("zero-byte DMA completion at %v, want setup-only 600ns", done)
@@ -52,9 +57,9 @@ func TestBusArbitrationSerializes(t *testing.T) {
 	bus := testBus(eng)
 	var order []sim.Time
 	// Issue a DMA and two PIOs back-to-back: they must serialize.
-	bus.DMA(528, func() { order = append(order, eng.Now()) }) // 600+1000
-	bus.PIOWrite(func() { order = append(order, eng.Now()) }) // +400
-	bus.PIOWrite(func() { order = append(order, eng.Now()) }) // +400
+	bus.DMA(528, fire(func() { order = append(order, eng.Now()) })) // 600+1000
+	bus.PIOWrite(fire(func() { order = append(order, eng.Now()) })) // +400
+	bus.PIOWrite(fire(func() { order = append(order, eng.Now()) })) // +400
 	eng.Run()
 	want := []sim.Time{1600, 2000, 2400}
 	for i, w := range want {
@@ -68,9 +73,9 @@ func TestBusIdleGapDoesNotCharge(t *testing.T) {
 	eng := sim.NewEngine()
 	bus := testBus(eng)
 	var second sim.Time
-	bus.PIOWrite(func() {})
+	bus.PIOWrite(fire(func() {}))
 	eng.After(10_000, func() {
-		bus.PIOWrite(func() { second = eng.Now() })
+		bus.PIOWrite(fire(func() { second = eng.Now() }))
 	})
 	eng.Run()
 	if second != 10_400 {
@@ -81,9 +86,9 @@ func TestBusIdleGapDoesNotCharge(t *testing.T) {
 func TestCounters(t *testing.T) {
 	eng := sim.NewEngine()
 	bus := testBus(eng)
-	bus.PIOWrite(func() {})
-	bus.DMA(100, func() {})
-	bus.DMA(200, func() {})
+	bus.PIOWrite(fire(func() {}))
+	bus.DMA(100, fire(func() {}))
+	bus.DMA(200, fire(func() {}))
 	eng.Run()
 	c := bus.Counters()
 	if c.PIOWrites != 1 || c.DMAs != 2 || c.DMABytes != 300 {
@@ -104,7 +109,7 @@ func TestGuards(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"nil pio":      func() { bus.PIOWrite(nil) },
 		"nil dma":      func() { bus.DMA(1, nil) },
-		"negative dma": func() { bus.DMA(-1, func() {}) },
+		"negative dma": func() { bus.DMA(-1, fire(func() {})) },
 		"bad params":   func() { New(eng, Params{}) },
 	} {
 		func() {
@@ -125,7 +130,7 @@ func TestPCIvsPCIX(t *testing.T) {
 		eng := sim.NewEngine()
 		bus := New(eng, Params{PIOWrite: 400, DMASetup: 600, BandwidthMBps: bw})
 		var done sim.Time
-		bus.DMA(4096, func() { done = eng.Now() })
+		bus.DMA(4096, fire(func() { done = eng.Now() }))
 		eng.Run()
 		return sim.Duration(done)
 	}

@@ -15,6 +15,15 @@ type Event interface {
 	Fire()
 }
 
+// Nop is the Event that does nothing when it fires: the end of work that
+// only occupies a simulated resource, such as a firmware processor
+// writing a table entry.
+var Nop Event = nop{}
+
+type nop struct{}
+
+func (nop) Fire() {}
+
 // entry is the queue record of one scheduled occurrence. Entries live
 // in a table indexed by slot (the slot holds the callback and backs the
 // Timer), so an entry never moves while it is queued. It holds no
